@@ -7,17 +7,18 @@ from .density import (
     DensityJet,
     UJet,
     gamma_jet,
+    gaussian_conformal,
     grauert_curvature,
     grauert_density_jet,
     hk_density_jet,
     m_factor,
     power_curvature,
+    pullback_density_jet,
     u_jet,
 )
 from .curvature import (
     CurvatureTensorAtPoint,
     critical_point_curvature,
-    gaussian_conformal,
     holo_sectional_curvature,
     hsc,
     k_plus,
@@ -42,19 +43,10 @@ from .foliation import (
     geometric_path,
     integrate_leaf,
     leaf_curvature,
-    leaf_density,
     leaf_density_jet,
     transverse_field,
 )
-from .holomorphic import (
-    HoloMap,
-    Jet,
-    Polynomial,
-    WirtingerJet2,
-    eval_jet,
-    wirtinger_fd,
-    zero_order,
-)
+from .holomorphic import HoloMap, Jet, Polynomial, eval_jet
 from .metric import (
     MetricDerivatives,
     metric_det,
@@ -78,7 +70,6 @@ __all__ = [
     "Polynomial",
     "UJet",
     "VectorField",
-    "WirtingerJet2",
     "critical_point_curvature",
     "curvature_gap",
     "divisor_approach",
@@ -95,7 +86,6 @@ __all__ = [
     "k_plus",
     "kahler_tensor",
     "leaf_curvature",
-    "leaf_density",
     "leaf_density_jet",
     "liminf_check",
     "line_curvature",
@@ -106,11 +96,10 @@ __all__ = [
     "metric_matrix",
     "metric_matrix_jet",
     "power_curvature",
+    "pullback_density_jet",
     "sup_metric_gap",
     "sup_sectional_curvature",
     "transverse_field",
     "twisted_family",
     "u_jet",
-    "wirtinger_fd",
-    "zero_order",
 ]

@@ -1,14 +1,10 @@
 """Command-line front-end: experiment orchestration and CSV/JSON emission.
 
 Design contract: exit 0 on success (and all-pass for ``verify``), exit 1 on
-a failed verification check, exit 2 on configuration or IO errors.  Output
-files are written atomically (temp file + rename) and floats are printed
-with 17 significant digits so every CSV round-trips to identical doubles.
-
-The environment variable GRAUERT_THREADS caps grid parallelism.  All
-kernels in this implementation are pure and the grids are evaluated in
-deterministic point order on a single thread, so any accepted value yields
-byte-identical output; the variable is validated and recorded.
+a failed verification check, exit 2 on configuration, IO, domain or
+floating-point errors.  Output files are written atomically (temp file +
+rename) and floats are printed with 17 significant digits so every CSV
+round-trips to identical doubles.
 """
 
 from __future__ import annotations
@@ -43,17 +39,6 @@ FLOAT_FMT = "%.17g"
 
 class ConfigError(Exception):
     """Invalid configuration, arguments, or input files (exit code 2)."""
-
-
-def _threads() -> int:
-    raw = os.environ.get("GRAUERT_THREADS", "1")
-    try:
-        v = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"GRAUERT_THREADS={raw!r} is not an integer") from exc
-    if v < 1:
-        raise ConfigError(f"GRAUERT_THREADS={v} must be >= 1")
-    return v
 
 
 def _fmt(x: float) -> str:
@@ -245,14 +230,12 @@ def _cmd_curvature_grid(a) -> int:
 def _cmd_leaf_curvature(a) -> int:
     f = _load_map(a.f)
     X = _load_field(a.X)
-    K = leaf_curvature(f, X, _parse_vector(a.p), method=a.method)
-    _emit_json({"K": K, "method": a.method}, a.out)
+    K = leaf_curvature(f, X, _parse_vector(a.p))
+    _emit_json({"K": K}, a.out)
     return 0
 
 
 def _cmd_leaf_approach(a) -> int:
-    if a.path != "geometric":
-        raise ConfigError(f"unknown path kind {a.path!r}")
     f = _load_map(a.f)
     base = _parse_vector(a.base)
     direction = _parse_vector(a.direction)
@@ -300,13 +283,7 @@ def _cmd_liminf(a) -> int:
     fam = _load_family(a.family)
     rep = liminf_check(fam, _parse_vector(a.p), _parse_vector(a.V), a.tail)
     _emit_json(
-        {
-            "K0": rep["K0"],
-            "Kj_min": rep["Kj_min"],
-            "margin": rep["margin"],
-            "seed": a.seed,
-        },
-        a.out,
+        {"K0": rep["K0"], "Kj_min": rep["Kj_min"], "margin": rep["margin"]}, a.out
     )
     return 0 if rep["passed"] else 1
 
@@ -366,12 +343,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", required=True)
     p.add_argument("--X", required=True, help="vector-field JSON file")
     p.add_argument("--p", nargs="+", required=True)
-    p.add_argument("--method", choices=("series", "stencil"), default="series")
 
     p = add("leaf-approach", _cmd_leaf_approach,
-            help="transverse-field curvature along a path into the divisor")
+            help="transverse-field curvature along a geometric path into the divisor")
     p.add_argument("--f", required=True)
-    p.add_argument("--path", default="geometric")
     p.add_argument("--base", nargs="+", required=True, help="divisor point")
     p.add_argument("--direction", nargs="+", required=True)
     p.add_argument("--start", type=float, default=1.0)
@@ -393,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", nargs="+", required=True)
     p.add_argument("--V", nargs="+", required=True)
     p.add_argument("--tail", type=int, required=True)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     p = add("verify", _cmd_verify, help="run a bundled verification suite")
     p.add_argument("--suite", choices=sorted(SUITES), required=True)
@@ -405,12 +379,11 @@ def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        _threads()  # validate, even though kernels are single-threaded
         return args.fn(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except GrauertError as exc:
+    except (GrauertError, ArithmeticError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

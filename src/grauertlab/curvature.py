@@ -1,6 +1,6 @@
-"""Curvature machinery: conformal Gaussian curvature, the Kahler curvature
-tensor of the pullback metric, holomorphic sectional curvature, its sampled
-supremum, and the one-variable closed forms.
+"""Curvature machinery: the Kahler curvature tensor of the pullback metric,
+holomorphic sectional curvature, its sampled supremum, and the one-variable
+closed forms.
 """
 
 from __future__ import annotations
@@ -10,8 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import norm, qmc
 
-from .density import DensityJet, gamma_jet
-from .errors import NonPositiveDensity, NotCritical, ZeroVector
+from .density import DensityJet, gamma_jet, gaussian_conformal, pullback_density_jet
+from .errors import NotCritical, ZeroVector
 from .holomorphic import HoloMap, _as_point, eval_jet
 from .metric import (
     MetricDerivatives,
@@ -25,14 +25,6 @@ CRITICAL_TOL = 1e-12
 
 #: imaginary residue allowed on algebraically-real quantities
 REAL_RESIDUE_TOL = 1e-8
-
-
-def gaussian_conformal(j: DensityJet) -> float:
-    """Gaussian curvature of h |dT|^2: K = -2 (h ddbar h - dh dbar h) / h^3."""
-    if not j.h > 0:
-        raise NonPositiveDensity(f"density {j.h} at {j.z} is not positive")
-    num = j.h * j.ddbar - (j.d * j.dbar).real
-    return float(-2.0 * num / j.h**3)
 
 
 @dataclass(frozen=True)
@@ -177,19 +169,7 @@ def line_density_jet(f: HoloMap, z: complex) -> DensityJet:
     zp = _as_point(z, 1)
     f0 = _check_off_divisor(f, zp)
     jet = eval_jet(f, zp, 2)
-    f1, f2 = jet.d(0), jet.d2(0, 0)
-    t = abs(f0) ** 2
-    g, gp, gpp = gamma_jet(t)
-    s = abs(f1) ** 2
-    h = g * s + 1.0
-    d = gp * f1 * np.conj(f0) * s + g * f2 * np.conj(f1)
-    ddbar = (
-        gpp * t * s**2
-        + gp * s**2
-        + 2.0 * (gp * f1**2 * np.conj(f0 * f2)).real
-        + g * abs(f2) ** 2
-    )
-    return DensityJet(complex(z), float(h), complex(d), complex(np.conj(d)), float(ddbar))
+    return pullback_density_jet(z, f0, jet.d(0), jet.d2(0, 0), [1.0], [0.0])
 
 
 def line_curvature(f: HoloMap, z: complex) -> float:

@@ -2,7 +2,8 @@
 
 Profile function u(t) = (t-1)/(t log t) with first and second derivatives,
 the conformal density 1 + |w|^2 u^2(|w|^2), its k-th power-pullback family,
-and the closed-form Gaussian curvatures of both.
+the closed-form Gaussian curvatures of both, and the pullback-density jet
+behind the one-variable and leaf curvatures.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainOverflow, DomainUnderflow
+from .errors import DomainOverflow, DomainUnderflow, NonPositiveDensity
 
 #: representable argument range: t*log^2 t stays inside double precision
 T_MIN = 1e-280
@@ -101,6 +102,39 @@ class DensityJet:
     ddbar: float
 
 
+def gaussian_conformal(j: DensityJet) -> float:
+    """Gaussian curvature of h |dT|^2: K = -2 (h ddbar h - dh dbar h) / h^3."""
+    if not j.h > 0:
+        raise NonPositiveDensity(f"density {j.h} at {j.z} is not positive")
+    num = j.h * j.ddbar - (j.d * j.dbar).real
+    return float(-2.0 * num / j.h**3)
+
+
+def pullback_density_jet(z: complex, g0: complex, g1: complex, g2: complex,
+                         chi0, chi1) -> DensityJet:
+    """Wirtinger jet of h = gamma(|g|^2) |g'|^2 + |chi|^2 at ``z``.
+
+    ``g0, g1, g2`` are a holomorphic function g and its first two
+    derivatives at ``z``; ``chi0`` and ``chi1`` are the components of a
+    holomorphic vector chi and their first derivatives.  The jet follows
+    from the chain rule through gamma; chi = (1) gives the one-variable
+    pullback density, chi = the field along a leaf gives the leaf density.
+    """
+    t = abs(g0) ** 2
+    g, gp, gpp = gamma_jet(t)
+    s = abs(g1) ** 2
+    h = g * s + float(np.vdot(chi0, chi0).real)
+    d = gp * g1 * np.conj(g0) * s + g * g2 * np.conj(g1) + np.dot(chi1, np.conj(chi0))
+    ddbar = (
+        gpp * t * s**2
+        + gp * s**2
+        + 2.0 * (gp * g1**2 * np.conj(g0 * g2)).real
+        + g * abs(g2) ** 2
+        + float(np.vdot(chi1, chi1).real)
+    )
+    return DensityJet(complex(z), float(h), complex(d), complex(np.conj(d)), float(ddbar))
+
+
 def grauert_density_jet(w: complex) -> DensityJet:
     """Density 1 + |w|^2 u^2(|w|^2) of the Grauert metric, with derivatives."""
     return hk_density_jet(1, w)
@@ -175,7 +209,4 @@ def power_curvature(k: int, z: complex) -> float:
     Independent code path from :func:`grauert_curvature`; the two are tied
     by the identity K_k(z) = K_g(z^k).
     """
-    # local import keeps the dependency one-way (curvature -> density)
-    from .curvature import gaussian_conformal
-
     return gaussian_conformal(hk_density_jet(k, z))

@@ -45,14 +45,6 @@ class DivisorFamily:
     def member(self, j: int) -> HoloMap:
         return self.member_fn(j)
 
-    def coefficient_gap(self, j: int) -> float:
-        """Max coefficient gap between f_j and f_0 (polynomial members)."""
-        fj = self.member(j)
-        keys = set(self.f0.num.terms) | set(fj.num.terms)
-        return max(
-            abs(fj.num.terms.get(k, 0) - self.f0.num.terms.get(k, 0)) for k in keys
-        )
-
     @staticmethod
     def from_template(
         f0: Polynomial, base: dict, per_j: dict, J: Sequence[int]

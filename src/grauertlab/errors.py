@@ -18,14 +18,6 @@ class OrderUnsupported(GrauertError):
     """A jet of order > 3 was requested."""
 
 
-class NonFiniteSample(GrauertError):
-    """A finite-difference stencil hit a non-finite sample."""
-
-
-class OrderExceedsDegree(GrauertError):
-    """All jets of a one-variable map vanish at the point up to its degree."""
-
-
 class DomainUnderflow(GrauertError):
     """Argument below the representable range of the metric profile."""
 

@@ -5,7 +5,7 @@ A leaf chart is the truncated Taylor solution of Z'(T) = X(Z(T)), Z(0) = p.
 The leaf-restricted density h(T) factors through holomorphic series
 (f o Z, its derivative, and the field components along the leaf), so its
 Wirtinger jet at T = 0 -- and hence the leaf curvature -- is computed in
-closed form.  A stencil path on h(T) is kept as the independent oracle.
+closed form.
 """
 
 from __future__ import annotations
@@ -14,11 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import gaussian_conformal
-from .density import DensityJet, gamma_jet
+from .density import DensityJet, gaussian_conformal, pullback_density_jet
 from .errors import DegenerateDirection, OnDivisor, RadiusCollapse, SingularField
-from .holomorphic import HoloMap, Polynomial, _as_point, eval_jet, wirtinger_fd
-from .metric import DIVISOR_TOL, metric_eval
+from .holomorphic import HoloMap, Polynomial, _as_point, eval_jet
+from .metric import DIVISOR_TOL
 
 #: default truncation order of leaf charts
 DEFAULT_ORDER = 16
@@ -144,12 +143,6 @@ class LeafChart:
             z = z * T + c
         return z
 
-    def derivative(self, T: complex) -> np.ndarray:
-        z = np.zeros(self.n, dtype=complex)
-        for j in range(self.order, 0, -1):
-            z = z * T + j * self.coeffs[j]
-        return z
-
 
 def _radius_estimate(coeffs: np.ndarray) -> float:
     m = coeffs.shape[0] - 1
@@ -191,17 +184,6 @@ def integrate_leaf(X: VectorField, p, order: int = DEFAULT_ORDER) -> LeafChart:
 
 # -- leaf-restricted density and curvature ----------------------------------
 
-def leaf_density(f: HoloMap, X: VectorField, p, T: complex,
-                 chart: LeafChart | None = None) -> float:
-    """Density h(T) of the leaf-restricted metric at parameter T."""
-    if chart is None:
-        chart = integrate_leaf(X, p)
-    if abs(T) >= chart.radius:
-        raise ValueError(f"|T| = {abs(T):.3e} outside chart radius {chart.radius:.3e}")
-    zT = chart(T)
-    return metric_eval(f, zT, X(zT))
-
-
 def leaf_density_jet(f: HoloMap, X: VectorField, p,
                      chart: LeafChart | None = None) -> DensityJet:
     """Wirtinger jet of h(T) at T = 0, assembled from holomorphic series.
@@ -217,71 +199,18 @@ def leaf_density_jet(f: HoloMap, X: VectorField, p,
     g = _map_on_series(f, Z, m)
     chi = np.array([_map_on_series(c, Z, m) for c in X.components])
 
-    g0, g1, g2 = g[0], g[1], 2.0 * g[2]
-    if abs(g0) < DIVISOR_TOL:
+    if abs(g[0]) < DIVISOR_TOL:
         raise OnDivisor(f"f vanishes along the leaf at {chart.base}")
-    t = abs(g0) ** 2
-    gm, gmp, gmpp = gamma_jet(t)
-    s = abs(g1) ** 2
-    chi0 = chi[:, 0]
-    chi1 = chi[:, 1]
-
-    h = gm * s + float(np.vdot(chi0, chi0).real)
-    d = gmp * g1 * np.conj(g0) * s + gm * g2 * np.conj(g1) + np.dot(
-        chi1, np.conj(chi0)
-    )
-    ddbar = (
-        gmpp * t * s**2
-        + gmp * s**2
-        + 2.0 * (gmp * g1**2 * np.conj(g0 * g2)).real
-        + gm * abs(g2) ** 2
-        + float(np.vdot(chi1, chi1).real)
-    )
-    return DensityJet(0j, float(h), complex(d), complex(np.conj(d)), float(ddbar))
+    return pullback_density_jet(0j, g[0], g[1], 2.0 * g[2], chi[:, 0], chi[:, 1])
 
 
-def _stencil_step(f: HoloMap, X: VectorField, chart: LeafChart) -> float:
-    """Stencil step: inside the chart and well short of the divisor crossing.
-
-    Along the leaf f(Z(T)) moves at rate |df(X)|, so the divisor sits at
-    parameter distance ~ |f(p)| / |df(p)(X(p))|; the step stays a factor
-    100 inside that.
-    """
-    p = chart.base
-    step = min(1e-4, chart.radius / 10.0)
-    Xp = X(p)
-    dfX = abs(np.dot(eval_jet(f, p, 1).gradient(), Xp))
-    if dfX > 0:
-        step = min(step, 0.01 * abs(f(p)) / dfX)
-    return step
-
-
-def leaf_curvature(f: HoloMap, X: VectorField, p, method: str = "series",
+def leaf_curvature(f: HoloMap, X: VectorField, p,
                    order: int = DEFAULT_ORDER) -> float:
-    """Leaf curvature of the metric along the foliation of X at p.
-
-    ``method="series"`` uses the closed-form jet of the leaf density
-    (exact up to roundoff); ``method="stencil"`` is the finite-difference
-    oracle with Richardson extrapolation.
+    """Leaf curvature of the metric along the foliation of X at p: the
+    Gaussian curvature of the closed-form jet of the leaf density.
     """
     chart = integrate_leaf(X, p, order=order)
-    if method == "series":
-        return gaussian_conformal(leaf_density_jet(f, X, p, chart=chart))
-    if method != "stencil":
-        raise ValueError(f"unknown method {method!r}")
-
-    def F(T: complex) -> float:
-        zT = chart(T)
-        return metric_eval(f, zT, X(zT))
-
-    step = _stencil_step(f, X, chart)
-    j1 = wirtinger_fd(F, 0j, step)
-    j2 = wirtinger_fd(F, 0j, step / 2.0)
-    # second-order stencils: Richardson-combine for fourth-order accuracy
-    d = (4.0 * j2.d - j1.d) / 3.0
-    ddbar = (4.0 * j2.ddbar - j1.ddbar) / 3.0
-    jet = DensityJet(0j, j2.value, d, np.conj(d), ddbar)
-    return gaussian_conformal(jet)
+    return gaussian_conformal(leaf_density_jet(f, X, p, chart=chart))
 
 
 def transverse_field(f: HoloMap, p) -> VectorField:

@@ -1,10 +1,8 @@
-"""Polynomial holomorphic maps, jets, and a Wirtinger finite-difference oracle.
+"""Polynomial holomorphic maps and their jets.
 
 A :class:`HoloMap` is a polynomial C^n -> C, or a quotient of two polynomials
 whose denominator must not vanish at any queried point.  Jets collect the
-holomorphic partials up to order 3 at a point; :func:`wirtinger_fd` is the
-independent stencil oracle for first and mixed-second Wirtinger derivatives
-of real-smooth scalar fields on C.
+holomorphic partials up to order 3 at a point.
 """
 
 from __future__ import annotations
@@ -12,22 +10,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
-from .errors import (
-    DenominatorVanishes,
-    NonFiniteSample,
-    OrderExceedsDegree,
-    OrderUnsupported,
-)
+from .errors import DenominatorVanishes, OrderUnsupported
 
 #: hard cap on per-variable exponents; desk experiments stay far below
 DEGREE_CAP = 32
-
-#: magnitudes below this relative threshold count as an exact zero
-ZERO_REL_TOL = 1e-12
 
 
 def _as_point(p, n: int) -> tuple[complex, ...]:
@@ -291,86 +281,3 @@ def eval_jet(f: HoloMap, p, order: int) -> Jet:
             acc -= _binom_multi(alpha, beta) * q[beta] * den[diff]
         q[alpha] = acc / d0
     return Jet(z, order, q)
-
-
-@dataclass(frozen=True)
-class WirtingerJet2:
-    """Value, first Wirtinger derivatives and the mixed second at a point of C.
-
-    Conventions: d = (d_x - i d_y)/2, dbar = (d_x + i d_y)/2,
-    ddbar = Laplacian/4.  For real-valued fields dbar = conj(d) by
-    construction.
-    """
-
-    point: complex
-    value: float
-    d: complex
-    dbar: complex
-    ddbar: float
-
-
-def default_fd_step(t0: complex) -> float:
-    """Balanced truncation/roundoff step for the densities in play."""
-    return 1e-5 * max(1.0, abs(t0))
-
-
-def wirtinger_fd(
-    F: Callable[[complex], float], t0: complex, step: float | None = None
-) -> WirtingerJet2:
-    """Second-order central-difference Wirtinger jet of a real-smooth field.
-
-    Uses the 3x3 stencil around ``t0``; the mixed second derivative comes
-    from the 9-point Laplacian.
-    """
-    if step is None:
-        step = default_fd_step(t0)
-    if step <= 0:
-        raise ValueError("step must be positive")
-    t0 = complex(t0)
-    s = np.empty((3, 3))
-    for ix, dx in enumerate((-1, 0, 1)):
-        for iy, dy in enumerate((-1, 0, 1)):
-            v = F(t0 + step * (dx + 1j * dy))
-            if not np.isfinite(v):
-                raise NonFiniteSample(
-                    f"non-finite sample at {t0 + step * (dx + 1j * dy)}"
-                )
-            s[ix, iy] = v
-    fx = (s[2, 1] - s[0, 1]) / (2 * step)
-    fy = (s[1, 2] - s[1, 0]) / (2 * step)
-    # 9-point Laplacian: 4th-order cross + corner correction
-    lap = (
-        4 * (s[0, 1] + s[2, 1] + s[1, 0] + s[1, 2])
-        + (s[0, 0] + s[0, 2] + s[2, 0] + s[2, 2])
-        - 20 * s[1, 1]
-    ) / (6 * step**2)
-    d = 0.5 * (fx - 1j * fy)
-    dbar = 0.5 * (fx + 1j * fy)
-    return WirtingerJet2(t0, s[1, 1], d, dbar, lap / 4.0)
-
-
-def zero_order(f: HoloMap, p: complex) -> int:
-    """Order of vanishing of a one-variable map at ``p``.
-
-    Determined from the Taylor coefficients at ``p``; magnitudes below
-    ``ZERO_REL_TOL`` times the largest coefficient are treated as zero.
-    """
-    if f.n != 1:
-        raise ValueError("zero_order expects a one-variable map")
-    g = f.num  # for a valid quotient the denominator does not vanish at p
-    if not g.terms:
-        raise OrderExceedsDegree("map is identically zero")
-    z = _as_point(p, 1)
-    deg = g.degree()
-    taylor = []
-    q = g
-    for k in range(deg + 1):
-        taylor.append(q(z) / math.factorial(k))
-        q = q.partial(0)
-    scale = max(abs(a) for a in taylor)
-    if scale == 0:
-        raise OrderExceedsDegree(f"all jets of {g} vanish at {p}")
-    for k, a in enumerate(taylor):
-        if abs(a) > ZERO_REL_TOL * scale:
-            return k
-    raise OrderExceedsDegree(f"all jets of {g} vanish at {p}")

@@ -4,20 +4,26 @@ The metric is G_{ik}(z) = gamma(|f|^2) f_{z_i} conj(f_{z_k}) + delta_{ik}
 with gamma(t) = 1 + t u^2(t): a rank-one update of the Euclidean identity.
 Derivative blocks are assembled by the chain rule from the holomorphic jet
 of f and the profile jet of u.
+
+Convention: phi(V) = V^T G conj(V) = sum_ik G[i, k] V_i conj(V_k), so
+G[i, k] pairs with V_i conj(V_k).  In this convention V^* G V is the
+quadratic form of G^T, not phi(V).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .density import gamma_jet
+from .density import T_MIN, gamma_jet
 from .errors import OnDivisor, SolveFailure
 from .holomorphic import HoloMap, _as_point, eval_jet
 
-#: |f(z)| below this counts as "on the divisor"
-DIVISOR_TOL = 1e-300
+#: |f(z)| below this counts as "on the divisor": exactly where |f|^2 would
+#: fall below the profile's domain floor T_MIN
+DIVISOR_TOL = math.sqrt(T_MIN)
 
 #: Sherman-Morrison conditioning guard before declaring failure
 COND_LIMIT = 1e12
@@ -104,10 +110,7 @@ def metric_matrix_jet(f: HoloMap, z) -> MetricDerivatives:
         raise SolveFailure(
             f"metric conditioning {cond:.3e} exceeds {COND_LIMIT:.0e} at {z}"
         )
-    if na2 < 1e-30:
-        Ginv = np.linalg.inv(G)  # rank-one factor numerically absent
-    else:
-        Ginv = np.eye(n) - (g / (1.0 + g * na2)) * aa
+    Ginv = np.eye(n) - (g / cond) * aa
     return MetricDerivatives(z, G, dG, ddG, Ginv)
 
 

@@ -23,9 +23,10 @@ from grauertlab.foliation import (
     geometric_path,
     leaf_curvature,
 )
-from grauertlab.holomorphic import HoloMap, eval_jet, wirtinger_fd
+from grauertlab.holomorphic import HoloMap, eval_jet
 from grauertlab.metric import metric_matrix, metric_matrix_jet
 from grauertlab.verify import LIMINF_TAIL, family_1d, family_2d, grid_1d, grid_2d
+from oracles import wirtinger_fd
 
 SEED = 20260824
 

@@ -4,6 +4,7 @@ and the no-partial-artifacts contract."""
 import csv
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +12,10 @@ import pytest
 from grauertlab.cli import main
 from grauertlab.foliation import VectorField
 from grauertlab.holomorphic import HoloMap
-from grauertlab.verify import grid_1d
+from grauertlab.verify import SUITES, grid_1d
+
+#: verify reports at the default seed, kept with the benchmark; read only
+REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference"
 
 
 @pytest.fixture
@@ -135,7 +139,7 @@ def test_liminf_report(workdir):
     assert main(["liminf", "--family", str(workdir / "deep.json"), "--p", "3",
                  "--V", "1", "--tail", "10000000", "--out", str(out)]) == 0
     rep = json.load(open(out))
-    assert set(rep) == {"K0", "Kj_min", "margin", "seed"}
+    assert set(rep) == {"K0", "Kj_min", "margin"}
     assert rep["margin"] >= -1e-6
 
 
@@ -179,8 +183,18 @@ def test_domain_error_exit_2(workdir, capsys):
     assert "OnDivisor" in capsys.readouterr().err
 
 
-def test_threads_env_validated(workdir, monkeypatch):
-    monkeypatch.setenv("GRAUERT_THREADS", "zebra")
-    assert main(["u-table", "--t-min", "1", "--t-max", "2", "--points", "2"]) == 2
-    monkeypatch.setenv("GRAUERT_THREADS", "4")
-    assert main(["u-table", "--t-min", "1", "--t-max", "2", "--points", "2"]) == 0
+@pytest.mark.parametrize("p", ["inf", "1e200"])
+def test_arithmetic_error_exit_2(workdir, capsys, p):
+    # an overflowing point is an input error (exit 2), not a failed check
+    code = main(["hsc", "--f", str(workdir / "f2.json"), "--p", p, "1",
+                 "--V", "1", "0"])
+    assert code == 2
+    assert "error: OverflowError: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_verify_matches_reference_report(workdir, suite):
+    # reports at the default seed are byte-identical to the kept references
+    out = workdir / f"{suite}.json"
+    assert main(["verify", "--suite", suite, "--out", str(out)]) == 0
+    assert out.read_bytes() == (REFERENCE / f"{suite}.json").read_bytes()

@@ -17,8 +17,9 @@ from grauertlab.curvature import (
 )
 from grauertlab.density import DensityJet
 from grauertlab.errors import NotCritical, ZeroVector
-from grauertlab.holomorphic import HoloMap, eval_jet, wirtinger_fd
+from grauertlab.holomorphic import HoloMap, eval_jet
 from grauertlab.metric import metric_matrix_jet
+from oracles import wirtinger_fd
 
 
 def _jet_of(F, z):

@@ -19,7 +19,7 @@ from grauertlab.density import (
     u_jet,
 )
 from grauertlab.errors import DomainOverflow, DomainUnderflow
-from grauertlab.holomorphic import wirtinger_fd
+from oracles import wirtinger_fd
 
 
 def kg_oracle(t, dps=50):

@@ -30,12 +30,6 @@ def test_constant_family_zero_gap():
     assert curvature_gap(fam, VectorField.constant([1.0]), grid, 2) == 0.0
 
 
-def test_coefficient_gap():
-    fam = family_1d()
-    assert abs(fam.coefficient_gap(64) - 1 / 64) < 1e-15
-    assert fam.coefficient_gap(64) < 0.02  # declared convergence spot-check
-
-
 def test_metric_gap_trend_and_ratio():
     # annulus-style grid with margin 0.2: first-order decay in 1/j
     fam = family_1d()

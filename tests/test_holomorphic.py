@@ -8,14 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grauertlab.errors import DenominatorVanishes, OrderUnsupported
-from grauertlab.holomorphic import (
-    HoloMap,
-    Polynomial,
-    eval_jet,
-    multi_indices,
-    wirtinger_fd,
-    zero_order,
-)
+from grauertlab.holomorphic import HoloMap, Polynomial, eval_jet, multi_indices
+from oracles import wirtinger_fd
 
 
 def test_monomial_jet():
@@ -88,14 +82,6 @@ def test_wirtinger_modulus_squared():
 def test_wirtinger_constant():
     j = wirtinger_fd(lambda T: 4.2, 0.3j, 1e-4)
     assert abs(j.d) < 1e-12 and abs(j.ddbar) < 1e-12
-
-
-def test_zero_order_examples():
-    f = HoloMap.poly(1, {(4,): 1, (3,): -2})  # z^3 (z - 2)
-    assert zero_order(f, 0.0) == 3
-    assert zero_order(HoloMap.poly(1, {(1,): 1, (0,): -1}), 0.0) == 0
-    # (z - i)^2 has a double root at i
-    assert zero_order(HoloMap.poly(1, {(2,): 1, (1,): -2j, (0,): -1}), 1j) == 2
 
 
 def test_polynomial_json_round_trip():

@@ -3,14 +3,16 @@
 import numpy as np
 import pytest
 
+from grauertlab.curvature import hsc, line_curvature
 from grauertlab.errors import OnDivisor
-from grauertlab.holomorphic import HoloMap, wirtinger_fd
+from grauertlab.holomorphic import HoloMap
 from grauertlab.metric import (
     metric_det,
     metric_eval,
     metric_matrix,
     metric_matrix_jet,
 )
+from oracles import wirtinger_fd
 
 
 def _rand_map(rng, n=2):
@@ -154,3 +156,8 @@ def test_on_divisor_error():
     f = HoloMap.poly(2, {(1, 1): 1, (0, 0): -1})
     with pytest.raises(OnDivisor):
         metric_eval(f, (1.0, 1.0), (1, 0))
+    # |f| below sqrt(T_MIN) = 1e-140 is on the divisor, not a profile underflow
+    with pytest.raises(OnDivisor):
+        line_curvature(HoloMap.poly(1, {(3,): 1}), 1e-50)
+    with pytest.raises(OnDivisor):
+        hsc(HoloMap.poly(2, {(1, 0): 1}), (1e-200, 1.0), (1, 0))
