@@ -17,7 +17,6 @@ from .density import (
     u_jet,
 )
 from .curvature import (
-    CurvatureTensorAtPoint,
     critical_point_curvature,
     holo_sectional_curvature,
     hsc,
@@ -59,7 +58,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CompactGrid",
-    "CurvatureTensorAtPoint",
     "DensityJet",
     "DivisorFamily",
     "GrauertError",

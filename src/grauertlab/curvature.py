@@ -5,8 +5,6 @@ closed forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.stats import norm, qmc
 
@@ -27,16 +25,10 @@ CRITICAL_TOL = 1e-12
 REAL_RESIDUE_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class CurvatureTensorAtPoint:
-    """Kahler curvature tensor R[i, j, k, l] ~ R_{i jbar k lbar} at a point."""
-
-    z: tuple[complex, ...]
-    R: np.ndarray
-
-
-def kahler_tensor(md: MetricDerivatives) -> CurvatureTensorAtPoint:
-    """R_{ij.kl.} = -dbar_l d_k G_{ij.} + G^{q.p} (d_k G_{iq.})(dbar_l G_{pj.})."""
+def kahler_tensor(md: MetricDerivatives) -> np.ndarray:
+    """Kahler curvature tensor R[i, j, k, l] ~ R_{i jbar k lbar} at md.z:
+    R_{ij.kl.} = -dbar_l d_k G_{ij.} + G^{q.p} (d_k G_{iq.})(dbar_l G_{pj.}).
+    """
     n = md.G.shape[0]
     R = np.empty((n, n, n, n), dtype=complex)
     for k in range(n):
@@ -44,7 +36,7 @@ def kahler_tensor(md: MetricDerivatives) -> CurvatureTensorAtPoint:
             # dbar_l G_{pj.} = conj(d_l G_{jp.})
             dbarG = np.conj(md.dG[l]).T
             R[:, :, k, l] = -md.ddG[k, l] + md.dG[k] @ md.Ginv @ dbarG
-    return CurvatureTensorAtPoint(md.z, R)
+    return R
 
 
 def holo_sectional_curvature(f: HoloMap, p, V) -> float:
@@ -58,7 +50,7 @@ def holo_sectional_curvature(f: HoloMap, p, V) -> float:
     if not np.any(V):
         raise ZeroVector("direction V must be nonzero")
     md = metric_matrix_jet(f, p)
-    R = kahler_tensor(md).R
+    R = kahler_tensor(md)
     num = np.einsum("ijkl,i,j,k,l->", R, V, np.conj(V), V, np.conj(V))
     if abs(num.imag) > REAL_RESIDUE_TOL * max(1.0, abs(num.real)):
         raise ArithmeticError(f"sectional numerator not real: {num}")

@@ -46,8 +46,8 @@ class SingularField(GrauertError):
     """A vector field vanishes at its base point."""
 
 
-class RadiusCollapse(GrauertError):
-    """The estimated convergence radius of a leaf chart is below the floor."""
+class LeafIllConditioned(GrauertError):
+    """The rounding-error bound of a leaf curvature exceeds its tolerance."""
 
 
 class DegenerateDirection(GrauertError):

@@ -3,9 +3,9 @@ curvature of the metric restricted to leaves.
 
 A leaf chart is the truncated Taylor solution of Z'(T) = X(Z(T)), Z(0) = p.
 The leaf-restricted density h(T) factors through holomorphic series
-(f o Z, its derivative, and the field components along the leaf), so its
+(f o Z, its derivative, and the field along the leaf, which is Z'), so its
 Wirtinger jet at T = 0 -- and hence the leaf curvature -- is computed in
-closed form.
+closed form from an order-2 chart.
 """
 
 from __future__ import annotations
@@ -15,18 +15,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import DensityJet, gaussian_conformal, pullback_density_jet
-from .errors import DegenerateDirection, OnDivisor, RadiusCollapse, SingularField
+from .errors import DegenerateDirection, LeafIllConditioned, OnDivisor, SingularField
 from .holomorphic import HoloMap, Polynomial, _as_point, eval_jet
 from .metric import DIVISOR_TOL
 
-#: default truncation order of leaf charts
-DEFAULT_ORDER = 16
-
-#: convergence-radius floor below which a chart is rejected
-RADIUS_FLOOR = 1e-6
-
 #: |X(p)| below this counts as a singular point of the field
 FIELD_TOL = 1e-10
+
+#: a leaf curvature whose rounding-error bound exceeds this times
+#: max(1, |K|) is rejected
+LEAF_ROUNDING_TOL = 1e-10
 
 
 # -- truncated power series in one variable, complex coefficients -----------
@@ -131,37 +129,16 @@ class LeafChart:
     base: tuple[complex, ...]
     order: int
     coeffs: np.ndarray  # shape (order + 1, n); coeffs[0] = base
-    radius: float
 
     @property
     def n(self) -> int:
         return len(self.base)
 
-    def __call__(self, T: complex) -> np.ndarray:
-        z = np.zeros(self.n, dtype=complex)
-        for c in self.coeffs[::-1]:
-            z = z * T + c
-        return z
 
-
-def _radius_estimate(coeffs: np.ndarray) -> float:
-    m = coeffs.shape[0] - 1
-    tail = range(max(1, m // 2), m + 1)
-    vals = []
-    for j in tail:
-        mag = float(np.max(np.abs(coeffs[j])))
-        if mag > 0:
-            vals.append(mag ** (-1.0 / j))
-    if not vals:
-        return 1e6  # polynomial leaf: effectively unbounded chart
-    return 0.5 * min(vals)
-
-
-def integrate_leaf(X: VectorField, p, order: int = DEFAULT_ORDER) -> LeafChart:
+def integrate_leaf(X: VectorField, p, order: int = 2) -> LeafChart:
     """Taylor coefficients of Z'(T) = X(Z(T)), Z(0) = p, up to ``order``.
 
-    Coefficient recursion c_{j+1} = [T^j] X(Z(T)) / (j + 1); the radius is
-    estimated from tail coefficient growth.
+    Coefficient recursion c_{j+1} = [T^j] X(Z(T)) / (j + 1).
     """
     if not 1 <= order <= 24:
         raise ValueError("order must be in 1..24")
@@ -176,41 +153,46 @@ def integrate_leaf(X: VectorField, p, order: int = DEFAULT_ORDER) -> LeafChart:
         for i, comp in enumerate(X.components):
             rhs = _map_on_series(comp, Z, j)
             coeffs[j + 1, i] = rhs[j] / (j + 1)
-    rho = _radius_estimate(coeffs)
-    if rho < RADIUS_FLOOR:
-        raise RadiusCollapse(f"estimated radius {rho:.3e} below {RADIUS_FLOOR}")
-    return LeafChart(p, order, coeffs, rho)
+    return LeafChart(p, order, coeffs)
 
 
 # -- leaf-restricted density and curvature ----------------------------------
 
-def leaf_density_jet(f: HoloMap, X: VectorField, p,
-                     chart: LeafChart | None = None) -> DensityJet:
+def leaf_density_jet(f: HoloMap, chart: LeafChart) -> DensityJet:
     """Wirtinger jet of h(T) at T = 0, assembled from holomorphic series.
 
     With g = f o Z the pullback satisfies dg/dT = df(Z)(X(Z)), so
-    h(T) = gamma(|g|^2) |g'|^2 + sum_i |X_i(Z)|^2 and every derivative at 0
-    follows from the series coefficients of g and X_i o Z.
+    h(T) = gamma(|g|^2) |g'|^2 + |X(Z)|^2.  The field along the leaf is
+    X(Z(T)) = Z'(T), so its value and derivative at 0 are c_1 and 2 c_2 of
+    the chart, which needs order >= 2.
     """
-    if chart is None:
-        chart = integrate_leaf(X, p, order=4)
-    m = min(4, chart.order)
-    Z = [chart.coeffs[: m + 1, i].copy() for i in range(chart.n)]
-    g = _map_on_series(f, Z, m)
-    chi = np.array([_map_on_series(c, Z, m) for c in X.components])
-
+    c = chart.coeffs
+    Z = [c[:3, i].copy() for i in range(chart.n)]
+    g = _map_on_series(f, Z, 2)
     if abs(g[0]) < DIVISOR_TOL:
         raise OnDivisor(f"f vanishes along the leaf at {chart.base}")
-    return pullback_density_jet(0j, g[0], g[1], 2.0 * g[2], chi[:, 0], chi[:, 1])
+    return pullback_density_jet(0j, g[0], g[1], 2.0 * g[2], c[1], 2.0 * c[2])
 
 
-def leaf_curvature(f: HoloMap, X: VectorField, p,
-                   order: int = DEFAULT_ORDER) -> float:
+def leaf_curvature(f: HoloMap, X: VectorField, p) -> float:
     """Leaf curvature of the metric along the foliation of X at p: the
     Gaussian curvature of the closed-form jet of the leaf density.
+
+    Rounding in K = -2 (h ddbar - |d|^2) / h^3 is bounded by
+    2 eps (h |ddbar| + |d|^2) / h^3, the size of the terms that cancel; when
+    the bound exceeds LEAF_ROUNDING_TOL max(1, |K|) the value is not
+    returned and LeafIllConditioned is raised.
     """
-    chart = integrate_leaf(X, p, order=order)
-    return gaussian_conformal(leaf_density_jet(f, X, p, chart=chart))
+    chart = integrate_leaf(X, p)
+    jet = leaf_density_jet(f, chart)
+    K = gaussian_conformal(jet)
+    eps = np.finfo(float).eps
+    bound = 2.0 * eps * (jet.h * abs(jet.ddbar) + abs(jet.d) ** 2) / jet.h**3
+    if bound > LEAF_ROUNDING_TOL * max(1.0, abs(K)):
+        raise LeafIllConditioned(
+            f"rounding bound {bound:.3e} on leaf curvature {K:.6g} at {chart.base}"
+        )
+    return K
 
 
 def transverse_field(f: HoloMap, p) -> VectorField:

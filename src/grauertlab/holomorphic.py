@@ -57,12 +57,6 @@ class Polynomial:
     def constant(n: int, c: complex) -> "Polynomial":
         return Polynomial(n, {(0,) * n: complex(c)})
 
-    @staticmethod
-    def coordinate(n: int, i: int) -> "Polynomial":
-        exp = [0] * n
-        exp[i] = 1
-        return Polynomial(n, {tuple(exp): 1.0})
-
     # -- algebra ------------------------------------------------------------
 
     def __call__(self, p) -> complex:
@@ -107,12 +101,6 @@ class Polynomial:
 
     def scaled(self, c: complex) -> "Polynomial":
         return Polynomial(self.n, {e: v * c for e, v in self.terms.items()})
-
-    def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
-    def coeff_scale(self) -> float:
-        return max((abs(c) for c in self.terms.values()), default=0.0)
 
     # -- serialization ------------------------------------------------------
 

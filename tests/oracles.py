@@ -2,8 +2,9 @@
 
 :func:`wirtinger_fd` is the stencil oracle for first and mixed-second
 Wirtinger derivatives of real-smooth scalar fields on C.  The leaf helpers
-evaluate a leaf chart and the leaf-restricted density away from T = 0, so
-:func:`stencil_leaf_curvature` checks the closed-form series path of
+evaluate an order-16 leaf chart and the leaf-restricted density away from
+T = 0, inside a radius estimated from the chart's tail growth, so
+:func:`stencil_leaf_curvature` checks the closed-form 2-jet path of
 :func:`grauertlab.foliation.leaf_curvature` independently.
 """
 
@@ -19,6 +20,10 @@ from grauertlab.errors import GrauertError
 from grauertlab.foliation import LeafChart, VectorField, integrate_leaf
 from grauertlab.holomorphic import HoloMap, eval_jet
 from grauertlab.metric import metric_eval
+
+
+#: truncation order of the leaf charts the oracles evaluate away from T = 0
+CHART_ORDER = 16
 
 
 class NonFiniteSample(GrauertError):
@@ -81,6 +86,27 @@ def wirtinger_fd(
     return WirtingerJet2(t0, s[1, 1], d, dbar, lap / 4.0)
 
 
+def chart_radius(chart: LeafChart) -> float:
+    """Half the convergence radius estimated from tail coefficient growth."""
+    m = chart.order
+    vals = []
+    for j in range(max(1, m // 2), m + 1):
+        mag = float(np.max(np.abs(chart.coeffs[j])))
+        if mag > 0:
+            vals.append(mag ** (-1.0 / j))
+    if not vals:
+        return 1e6  # polynomial leaf: effectively unbounded chart
+    return 0.5 * min(vals)
+
+
+def chart_value(chart: LeafChart, T: complex) -> np.ndarray:
+    """Z(T) of a leaf chart, from its Taylor coefficients."""
+    z = np.zeros(chart.n, dtype=complex)
+    for c in chart.coeffs[::-1]:
+        z = z * T + c
+    return z
+
+
 def chart_derivative(chart: LeafChart, T: complex) -> np.ndarray:
     """Z'(T) of a leaf chart, from its Taylor coefficients."""
     z = np.zeros(chart.n, dtype=complex)
@@ -93,10 +119,11 @@ def leaf_density(f: HoloMap, X: VectorField, p, T: complex,
                  chart: LeafChart | None = None) -> float:
     """Density h(T) of the leaf-restricted metric at parameter T."""
     if chart is None:
-        chart = integrate_leaf(X, p)
-    if abs(T) >= chart.radius:
-        raise ValueError(f"|T| = {abs(T):.3e} outside chart radius {chart.radius:.3e}")
-    zT = chart(T)
+        chart = integrate_leaf(X, p, order=CHART_ORDER)
+    radius = chart_radius(chart)
+    if abs(T) >= radius:
+        raise ValueError(f"|T| = {abs(T):.3e} outside chart radius {radius:.3e}")
+    zT = chart_value(chart, T)
     return metric_eval(f, zT, X(zT))
 
 
@@ -108,7 +135,7 @@ def _stencil_step(f: HoloMap, X: VectorField, chart: LeafChart) -> float:
     100 inside that.
     """
     p = chart.base
-    step = min(1e-4, chart.radius / 10.0)
+    step = min(1e-4, chart_radius(chart) / 10.0)
     Xp = X(p)
     dfX = abs(np.dot(eval_jet(f, p, 1).gradient(), Xp))
     if dfX > 0:
@@ -118,7 +145,7 @@ def _stencil_step(f: HoloMap, X: VectorField, chart: LeafChart) -> float:
 
 def stencil_leaf_curvature(f: HoloMap, X: VectorField, p) -> float:
     """Leaf curvature from finite differences of h(T), Richardson-extrapolated."""
-    chart = integrate_leaf(X, p)
+    chart = integrate_leaf(X, p, order=CHART_ORDER)
 
     def F(T: complex) -> float:
         return leaf_density(f, X, p, T, chart=chart)

@@ -7,18 +7,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grauertlab.curvature import hsc, line_curvature
-from grauertlab.errors import RadiusCollapse, SingularField
+from grauertlab.density import gaussian_conformal
+from grauertlab.errors import LeafIllConditioned, SingularField
 from grauertlab.foliation import (
     VectorField,
     divisor_approach,
     geometric_path,
     integrate_leaf,
     leaf_curvature,
+    leaf_density_jet,
     transverse_field,
 )
 from grauertlab.holomorphic import HoloMap, Polynomial, eval_jet
 from grauertlab.metric import metric_eval
-from oracles import chart_derivative, leaf_density, stencil_leaf_curvature
+from oracles import (
+    CHART_ORDER,
+    chart_derivative,
+    chart_radius,
+    chart_value,
+    leaf_density,
+    stencil_leaf_curvature,
+)
 
 
 def test_constant_field_straight_leaf():
@@ -42,7 +51,7 @@ def test_quadratic_field_geometric_leaf():
     X = VectorField((HoloMap.poly(1, {(2,): 1}),))
     c = integrate_leaf(X, [1.0], order=12)
     assert np.allclose(c.coeffs[:, 0], 1.0)
-    assert c.radius < 1.0  # unit-radius pole is detected
+    assert chart_radius(c) < 1.0  # unit-radius pole is detected
 
 
 def test_singular_field_rejected():
@@ -66,9 +75,9 @@ def test_leaf_residual(salt):
     p = rng.normal(size=n) + 1j * rng.normal(size=n)
     if np.linalg.norm(X(p)) < 1e-6:
         return
-    chart = integrate_leaf(X, p)
-    T = 0.5 * chart.radius
-    assert np.linalg.norm(chart_derivative(chart, T) - X(chart(T))) < 1e-9
+    chart = integrate_leaf(X, p, order=CHART_ORDER)
+    T = 0.5 * chart_radius(chart)
+    assert np.linalg.norm(chart_derivative(chart, T) - X(chart_value(chart, T))) < 1e-9
 
 
 def test_leaf_density_kernel_direction():
@@ -140,6 +149,69 @@ def test_reparametrization_invariance():
     for lam in (2.0, -1j, 0.5 + 0.5j):
         Xs = VectorField(tuple(c.scaled(lam) for c in X.components))
         assert abs(leaf_curvature(f, Xs, p) - base) < 1e-8
+
+
+def _n1_guard_draw(rng):
+    """f = (z + a)^2 - 1 with a field b/z^e or s z, at a base point
+    10^U(-8, 0) from the field's pole or zero at 0, off the divisor of f.
+
+    The divisor, not the field, is translated, so that the field's
+    denominator z^e cannot cancel to zero in floating point.
+    """
+    while True:
+        a = complex(*rng.uniform(-2.0, 2.0, size=2))
+        f = HoloMap.poly(1, {(2,): 1, (1,): 2 * a, (0,): a * a - 1})
+        p = 10.0 ** rng.uniform(-8.0, 0.0) * np.exp(2j * np.pi * rng.random())
+        if abs(f([p])) >= 0.1:
+            break
+    phase = np.exp(2j * np.pi * rng.random())
+    if rng.random() < 0.5:
+        e = int(rng.integers(1, 4))
+        b = Polynomial.constant(1, 10.0 ** rng.uniform(-3.0, 3.0) * phase)
+        X = HoloMap(b, Polynomial(1, {(e,): 1}))
+    else:
+        X = HoloMap.poly(1, {(1,): 10.0 ** rng.uniform(0.0, 8.0) * phase})
+    return f, VectorField((X,)), p
+
+
+def test_leaf_curvature_accurate_or_ill_conditioned():
+    # n = 1: the leaf curvature does not depend on the field, so
+    # line_curvature is the reference; each draw is accurate or rejected
+    rng = np.random.default_rng(15)
+    accepted = rejected = 0
+    for _ in range(400):
+        f, X, p = _n1_guard_draw(rng)
+        ref = line_curvature(f, p)
+        try:
+            K = leaf_curvature(f, X, [p])
+        except LeafIllConditioned:
+            rejected += 1
+            continue
+        accepted += 1
+        assert abs(K - ref) <= 1e-9 * max(1.0, abs(ref))
+    assert accepted > 100 and rejected > 100
+
+
+def test_leaf_curvature_large_field_is_exact():
+    # a fast linear field is well conditioned: the guard must not reject it
+    f = HoloMap.poly(1, {(2,): 1, (0,): -1})
+    X = VectorField((HoloMap.poly(1, {(1,): 1e7, (0,): 1e7}),))
+    p = 0.4 + 0.7j
+    assert abs(leaf_curvature(f, X, [p]) - line_curvature(f, p)) <= 1e-15
+
+
+def test_leaf_curvature_near_field_pole_rejected():
+    # X = 1/(z - a) at 1e-7 from a: the unguarded value is about 1% off
+    f = HoloMap.poly(1, {(2,): 1, (0,): -1})
+    a = 0.3 - 0.2j
+    X = VectorField((HoloMap(Polynomial.constant(1, 1.0),
+                             Polynomial(1, {(1,): 1, (0,): -a})),))
+    p = a + 1e-7
+    ref = line_curvature(f, p)
+    raw = gaussian_conformal(leaf_density_jet(f, integrate_leaf(X, [p])))
+    assert abs(raw - ref) > 1e-3 * abs(ref)
+    with pytest.raises(LeafIllConditioned):
+        leaf_curvature(f, X, [p])
 
 
 def test_transverse_field_construction():
