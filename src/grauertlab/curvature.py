@@ -13,7 +13,7 @@ from .errors import NotCritical, ZeroVector
 from .holomorphic import HoloMap, _as_point, eval_jet
 from .metric import (
     MetricDerivatives,
-    _check_off_divisor,
+    _off_divisor_value,
     metric_eval,
     metric_matrix_jet,
 )
@@ -45,7 +45,6 @@ def holo_sectional_curvature(f: HoloMap, p, V) -> float:
     Scale-invariant in V; normalized so the n = 1 value is the Gaussian
     curvature of the conformal density.
     """
-    p = _as_point(p, f.n)
     V = np.asarray(V, dtype=complex)
     if not np.any(V):
         raise ZeroVector("direction V must be nonzero")
@@ -143,12 +142,12 @@ def critical_point_curvature(f: HoloMap, p: complex) -> float:
     """
     if f.n != 1:
         raise ValueError("critical_point_curvature expects a one-variable map")
-    p = _as_point(p, 1)
     jet = eval_jet(f, p, 2)
     if abs(jet.d(0)) >= CRITICAL_TOL:
-        raise NotCritical(f"|f'({p[0]})| = {abs(jet.d(0)):.3e} >= {CRITICAL_TOL}")
-    _check_off_divisor(f, p)
-    g, _, _ = gamma_jet(abs(jet.value) ** 2)
+        raise NotCritical(
+            f"|f'({jet.point[0]})| = {abs(jet.d(0)):.3e} >= {CRITICAL_TOL}"
+        )
+    g, _, _ = gamma_jet(abs(_off_divisor_value(jet)) ** 2)
     return float(-2.0 * abs(jet.d2(0, 0)) ** 2 * g)
 
 
@@ -158,9 +157,8 @@ def line_density_jet(f: HoloMap, z: complex) -> DensityJet:
     """
     if f.n != 1:
         raise ValueError("line_density_jet expects a one-variable map")
-    zp = _as_point(z, 1)
-    f0 = _check_off_divisor(f, zp)
-    jet = eval_jet(f, zp, 2)
+    jet = eval_jet(f, z, 2)
+    f0 = _off_divisor_value(jet)
     return pullback_density_jet(z, f0, jet.d(0), jet.d2(0, 0), [1.0], [0.0])
 
 

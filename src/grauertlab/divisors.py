@@ -20,6 +20,9 @@ from .foliation import VectorField, leaf_curvature
 from .holomorphic import HoloMap, Polynomial
 from .metric import DIVISOR_TOL, metric_matrix
 
+#: slack allowed in the liminf inequality K_{f0} <= min over the tail of K_{fj}
+LIMINF_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class DivisorFamily:
@@ -186,10 +189,10 @@ def twisted_family(
     return DivisorFamily(f0, member, fam.J)
 
 
-def liminf_check(fam: DivisorFamily, p, V, tail: int, tol: float = 1e-6) -> dict:
+def liminf_check(fam: DivisorFamily, p, V, tail: int) -> dict:
     """Limit-inferior inequality report for the sectional curvature at (p, V).
 
-    Asserts K_{f0}(p, V) <= min over the tail of K_{fj}(p, V) + tol.
+    Asserts K_{f0}(p, V) <= min over the tail of K_{fj}(p, V) + LIMINF_TOL.
     """
     K0 = holo_sectional_curvature(fam.f0, p, V)
     tail_js = [j for j in fam.J if j >= tail]
@@ -202,5 +205,5 @@ def liminf_check(fam: DivisorFamily, p, V, tail: int, tol: float = 1e-6) -> dict
         "Kj_min": Kj_min,
         "margin": Kj_min - K0,
         "tail": tail,
-        "passed": K0 <= Kj_min + tol,
+        "passed": K0 <= Kj_min + LIMINF_TOL,
     }

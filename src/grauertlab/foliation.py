@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import DensityJet, gaussian_conformal, pullback_density_jet
-from .errors import DegenerateDirection, LeafIllConditioned, OnDivisor, SingularField
+from .errors import (DegenerateDirection, DenominatorVanishes, LeafIllConditioned,
+                     OnDivisor, SingularField)
 from .holomorphic import HoloMap, Polynomial, _as_point, eval_jet
 from .metric import DIVISOR_TOL
 
@@ -40,8 +41,6 @@ def _series_mul(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
 
 
 def _series_div(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
-    if b[0] == 0:
-        raise ZeroDivisionError("series division by a series vanishing at 0")
     out = np.zeros(m + 1, dtype=complex)
     for i in range(m + 1):
         acc = a[i] if i < len(a) else 0.0
@@ -81,6 +80,10 @@ def _map_on_series(f: HoloMap, Z: list[np.ndarray], m: int) -> np.ndarray:
     if f.den is None:
         return num
     den = _poly_on_series(f.den, Z, m)
+    if den[0] == 0:
+        # the series can cancel to 0 where the map's own evaluation does not
+        base = tuple(complex(s[0]) for s in Z)
+        raise DenominatorVanishes(f"denominator vanishes at {base}")
     return _series_div(num, den, m)
 
 
@@ -197,11 +200,11 @@ def leaf_curvature(f: HoloMap, X: VectorField, p) -> float:
 
 def transverse_field(f: HoloMap, p) -> VectorField:
     """Field X with df(X) = 1: e_i / f_{z_i} for the strongest partial at p."""
-    p = _as_point(p, f.n)
-    grad = eval_jet(f, p, 1).gradient()
+    jet = eval_jet(f, p, 1)
+    grad = jet.gradient()
     i = 0 if abs(grad[0]) > FIELD_TOL else int(np.argmax(np.abs(grad)))
     if abs(grad[i]) <= FIELD_TOL:
-        raise DegenerateDirection(f"no partial of f exceeds {FIELD_TOL} at {p}")
+        raise DegenerateDirection(f"no partial of f exceeds {FIELD_TOL} at {jet.point}")
     one = Polynomial.constant(f.n, 1.0)
     if f.den is None:
         di = f.num.partial(i)

@@ -2,7 +2,8 @@
 
 A :class:`HoloMap` is a polynomial C^n -> C, or a quotient of two polynomials
 whose denominator must not vanish at any queried point.  Jets collect the
-holomorphic partials up to order 3 at a point.
+holomorphic partials up to order 3 at a point; a value is the order-0 jet,
+so values and partials come from one evaluation path, :func:`eval_jet`.
 """
 
 from __future__ import annotations
@@ -60,15 +61,7 @@ class Polynomial:
     # -- algebra ------------------------------------------------------------
 
     def __call__(self, p) -> complex:
-        z = _as_point(p, self.n)
-        total = 0.0 + 0.0j
-        for exp, c in self.terms.items():
-            m = c
-            for zi, e in zip(z, exp):
-                if e:
-                    m *= zi**e
-            total += m
-        return total
+        return _poly_jet(self, _as_point(p, self.n), 0)[(0,) * self.n]
 
     def partial(self, i: int) -> "Polynomial":
         out = {}
@@ -158,13 +151,7 @@ class HoloMap:
         return HoloMap(self.num.scaled(c), self.den)
 
     def __call__(self, p) -> complex:
-        z = _as_point(p, self.n)
-        if self.den is None:
-            return self.num(z)
-        d = self.den(z)
-        if d == 0:
-            raise DenominatorVanishes(f"denominator vanishes at {z}")
-        return self.num(z) / d
+        return eval_jet(self, p, 0).value
 
     def to_json(self) -> dict:
         if self.den is None:
@@ -227,23 +214,25 @@ class Jet:
 
 
 def _poly_jet(p: Polynomial, z: tuple[complex, ...], order: int) -> dict:
+    """Partials d^alpha p(z), |alpha| <= order, straight from the terms: the
+    operations, in order, of evaluating the derivative polynomials that
+    ``Polynomial.partial`` builds (variable 0 first), so bit-identical to them.
+    """
     coeffs = {}
     for alpha in multi_indices(p.n, order):
-        q = p
-        for i, a in enumerate(alpha):
-            for _ in range(a):
-                q = q.partial(i)
-        coeffs[alpha] = q(z)
+        total = 0j
+        for exp, c in p.terms.items():
+            if any(e < a for e, a in zip(exp, alpha)):
+                continue
+            for e, a in zip(exp, alpha):
+                for k in range(a):
+                    c *= e - k
+            for zi, e, a in zip(z, exp, alpha):
+                if e > a:
+                    c *= zi ** (e - a)
+            total += c
+        coeffs[alpha] = total
     return coeffs
-
-
-def _binom_multi(alpha, beta) -> int:
-    return math.prod(math.comb(a, b) for a, b in zip(alpha, beta))
-
-
-def _sub_indices(alpha):
-    """All beta <= alpha componentwise."""
-    return itertools.product(*(range(a + 1) for a in alpha))
 
 
 def eval_jet(f: HoloMap, p, order: int) -> Jet:
@@ -262,10 +251,10 @@ def eval_jet(f: HoloMap, p, order: int) -> Jet:
     q: dict = {}
     for alpha in multi_indices(f.n, order):
         acc = num[alpha]
-        for beta in _sub_indices(alpha):
-            if beta == alpha:
-                continue
-            diff = tuple(a - b for a, b in zip(alpha, beta))
-            acc -= _binom_multi(alpha, beta) * q[beta] * den[diff]
+        for beta in itertools.product(*(range(a + 1) for a in alpha)):
+            if beta != alpha:
+                binom = math.prod(math.comb(a, b) for a, b in zip(alpha, beta))
+                diff = tuple(a - b for a, b in zip(alpha, beta))
+                acc -= binom * q[beta] * den[diff]
         q[alpha] = acc / d0
     return Jet(z, order, q)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .density import T_MIN, gamma_jet
 from .errors import OnDivisor, SolveFailure
-from .holomorphic import HoloMap, _as_point, eval_jet
+from .holomorphic import HoloMap, Jet, eval_jet
 
 #: |f(z)| below this counts as "on the divisor": exactly where |f|^2 would
 #: fall below the profile's domain floor T_MIN
@@ -29,30 +29,39 @@ DIVISOR_TOL = math.sqrt(T_MIN)
 COND_LIMIT = 1e12
 
 
-def _check_off_divisor(f: HoloMap, z) -> complex:
-    v = f(z)
+def _off_divisor_value(jet: Jet) -> complex:
+    """The value f(p) held by ``jet``; OnDivisor when |f(p)| < DIVISOR_TOL."""
+    v = jet.value
     if abs(v) < DIVISOR_TOL:
-        raise OnDivisor(f"f vanishes at {z} (|f| = {abs(v):.3e})")
+        raise OnDivisor(f"f vanishes at {jet.point} (|f| = {abs(v):.3e})")
     return v
+
+
+def _gradient_and_gamma(f: HoloMap, z) -> tuple[np.ndarray, float]:
+    """grad f(z) and gamma(|f(z)|^2) from one 1-jet of f.  Where gamma
+    overflows (for f = z: 1e-140 < |z| < 4.55e-79) z counts as on the divisor.
+    """
+    jet = eval_jet(f, z, 1)
+    fz = _off_divisor_value(jet)
+    g, _, _ = gamma_jet(abs(fz) ** 2)
+    if not math.isfinite(g):
+        raise OnDivisor(
+            f"gamma(|f|^2) overflows at {jet.point} (|f| = {abs(fz):.3e})"
+        )
+    return jet.gradient(), g
 
 
 def metric_eval(f: HoloMap, z, V) -> float:
     """Metric value phi(z, V) = gamma(|f|^2) |df(z)(V)|^2 + |V|^2."""
-    z = _as_point(z, f.n)
     V = np.asarray(V, dtype=complex)
-    fz = _check_off_divisor(f, z)
-    jet = eval_jet(f, z, 1)
-    g, _, _ = gamma_jet(abs(fz) ** 2)
-    dfv = np.dot(jet.gradient(), V)
+    a, g = _gradient_and_gamma(f, z)
+    dfv = np.dot(a, V)
     return float(g * abs(dfv) ** 2 + np.vdot(V, V).real)
 
 
 def metric_matrix(f: HoloMap, z) -> np.ndarray:
     """Matrix G(z) of the metric; Hermitian, eigenvalues >= 1."""
-    z = _as_point(z, f.n)
-    fz = _check_off_divisor(f, z)
-    a = eval_jet(f, z, 1).gradient()
-    g, _, _ = gamma_jet(abs(fz) ** 2)
+    a, g = _gradient_and_gamma(f, z)
     G = g * np.outer(a, np.conj(a)) + np.eye(f.n)
     return 0.5 * (G + G.conj().T)  # Hermitian by construction
 
@@ -78,10 +87,9 @@ def metric_matrix_jet(f: HoloMap, z) -> MetricDerivatives:
     The inverse uses the Sherman-Morrison rank-one form; its condition
     number 1 + gamma |grad f|^2 must stay below the guard.
     """
-    z = _as_point(z, f.n)
     n = f.n
-    fz = _check_off_divisor(f, z)
     jet = eval_jet(f, z, 2)
+    fz = _off_divisor_value(jet)
     a = jet.gradient()
     H = jet.hessian()
     t = abs(fz) ** 2
@@ -108,16 +116,13 @@ def metric_matrix_jet(f: HoloMap, z) -> MetricDerivatives:
     cond = 1.0 + g * na2
     if cond > COND_LIMIT:
         raise SolveFailure(
-            f"metric conditioning {cond:.3e} exceeds {COND_LIMIT:.0e} at {z}"
+            f"metric conditioning {cond:.3e} exceeds {COND_LIMIT:.0e} at {jet.point}"
         )
     Ginv = np.eye(n) - (g / cond) * aa
-    return MetricDerivatives(z, G, dG, ddG, Ginv)
+    return MetricDerivatives(jet.point, G, dG, ddG, Ginv)
 
 
 def metric_det(f: HoloMap, z) -> float:
     """det G(z) = 1 + gamma(|f|^2) |grad f|^2 (matrix determinant lemma)."""
-    z = _as_point(z, f.n)
-    fz = _check_off_divisor(f, z)
-    a = eval_jet(f, z, 1).gradient()
-    g, _, _ = gamma_jet(abs(fz) ** 2)
+    a, g = _gradient_and_gamma(f, z)
     return float(1.0 + g * np.vdot(a, a).real)

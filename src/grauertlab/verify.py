@@ -13,6 +13,7 @@ import numpy as np
 from .curvature import critical_point_curvature, hsc, k_plus, line_curvature
 from .density import gamma_jet, grauert_curvature, m_factor, power_curvature, u_jet
 from .divisors import (
+    LIMINF_TOL,
     CompactGrid,
     DivisorFamily,
     curvature_gap,
@@ -242,7 +243,7 @@ def suite_thm13(seed: int = DEFAULT_SEED) -> dict:
         p = 1.0 + r * np.exp(2j * np.pi * rng.random())
         rep = liminf_check(deep1, [p], [1.0], LIMINF_TAIL[0])
         worst = min(worst, rep["margin"])
-    checks.append(_check("n=1 liminf worst margin", 0.0, worst, 1e-6, "ge"))
+    checks.append(_check("n=1 liminf worst margin", 0.0, worst, LIMINF_TOL, "ge"))
 
     deep2 = family_2d(LIMINF_TAIL)
     worst2 = np.inf
@@ -255,7 +256,7 @@ def suite_thm13(seed: int = DEFAULT_SEED) -> dict:
         rep = liminf_check(deep2, p, V, LIMINF_TAIL[0])
         worst2 = min(worst2, rep["margin"])
         done += 1
-    checks.append(_check("n=2 liminf worst margin", 0.0, worst2, 1e-6, "ge"))
+    checks.append(_check("n=2 liminf worst margin", 0.0, worst2, LIMINF_TOL, "ge"))
     return _report("thm13", seed, checks)
 
 

@@ -1,5 +1,7 @@
-"""Finite-difference oracles for the tests.
+"""Reference oracles for the tests.
 
+:func:`symbolic_jet` evaluates a map's partials the long way, through the
+derivative polynomials, as the reference for :func:`grauertlab.holomorphic.eval_jet`.
 :func:`wirtinger_fd` is the stencil oracle for first and mixed-second
 Wirtinger derivatives of real-smooth scalar fields on C.  The leaf helpers
 evaluate an order-16 leaf chart and the leaf-restricted density away from
@@ -10,6 +12,8 @@ T = 0, inside a radius estimated from the chart's tail growth, so
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -18,12 +22,58 @@ import numpy as np
 from grauertlab.density import DensityJet, gaussian_conformal
 from grauertlab.errors import GrauertError
 from grauertlab.foliation import LeafChart, VectorField, integrate_leaf
-from grauertlab.holomorphic import HoloMap, eval_jet
+from grauertlab.holomorphic import HoloMap, Polynomial, eval_jet, multi_indices
 from grauertlab.metric import metric_eval
 
 
 #: truncation order of the leaf charts the oracles evaluate away from T = 0
 CHART_ORDER = 16
+
+
+def symbolic_value(p: Polynomial, z) -> complex:
+    """p(z) by the monomial loop, terms in order."""
+    total = 0.0 + 0.0j
+    for exp, c in p.terms.items():
+        m = c
+        for zi, e in zip(z, exp):
+            if e:
+                m *= zi**e
+        total += m
+    return total
+
+
+def symbolic_jet(f: HoloMap, z, order: int) -> dict:
+    """Partials d^alpha f(z), |alpha| <= order, from symbolic derivatives.
+
+    A polynomial's partial is the value of the derivative polynomial that
+    ``Polynomial.partial`` builds, variable 0 first.  A quotient's value is
+    num(z) / den(z), and its higher partials follow from num = q den by
+    Leibniz inversion.  ``z`` is a tuple of complex coordinates.
+    """
+    def poly_jet(p: Polynomial) -> dict:
+        out = {}
+        for alpha in multi_indices(p.n, order):
+            q = p
+            for i, a in enumerate(alpha):
+                for _ in range(a):
+                    q = q.partial(i)
+            out[alpha] = symbolic_value(q, z)
+        return out
+
+    num = poly_jet(f.num)
+    if f.den is None:
+        return num
+    den = poly_jet(f.den)
+    q: dict = {}
+    for alpha in multi_indices(f.n, order):
+        acc = num[alpha]
+        for beta in itertools.product(*(range(a + 1) for a in alpha)):
+            if beta != alpha:
+                binom = math.prod(math.comb(a, b) for a, b in zip(alpha, beta))
+                diff = tuple(a - b for a, b in zip(alpha, beta))
+                acc -= binom * q[beta] * den[diff]
+        q[alpha] = acc / den[(0,) * f.n]
+    return q
 
 
 class NonFiniteSample(GrauertError):

@@ -183,6 +183,19 @@ def test_domain_error_exit_2(workdir, capsys):
     assert "OnDivisor" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_metric_eval_gamma_overflow_exit_2_no_output(workdir, capsys):
+    # gamma(|f|^2) overflows at z = 1e-80 on f = z: exit 2, no NaN written
+    json.dump(HoloMap.poly(1, {(1,): 1}).to_json(), open(workdir / "fz.json", "w"))
+    out = workdir / "m.json"
+    code = main(["metric-eval", "--f", str(workdir / "fz.json"), "--z", "1e-80",
+                 "--V", "1", "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+    assert "OnDivisor" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("p", ["inf", "1e200"])
 def test_arithmetic_error_exit_2(workdir, capsys, p):
     # an overflowing point is an input error (exit 2), not a failed check

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from grauertlab.curvature import hsc, line_curvature
 from grauertlab.density import gaussian_conformal
-from grauertlab.errors import LeafIllConditioned, SingularField
+from grauertlab.errors import DenominatorVanishes, LeafIllConditioned, SingularField
 from grauertlab.foliation import (
     VectorField,
     divisor_approach,
@@ -212,6 +212,21 @@ def test_leaf_curvature_near_field_pole_rejected():
     assert abs(raw - ref) > 1e-3 * abs(ref)
     with pytest.raises(LeafIllConditioned):
         leaf_curvature(f, X, [p])
+
+
+def test_field_denominator_cancelling_on_the_chart_rejected():
+    # X = 1/d with d(p) = -1.1e-16 as the map evaluates it, while d composed
+    # with the leaf series cancels to exactly 0 at T = 0
+    d = Polynomial(1, {(2,): 1.0,
+                       (1,): -1.1650768373113802 + 0.4296578222537116j,
+                       (0,): 0.2931995481539216 - 0.25029218833872474j})
+    X = VectorField((HoloMap(Polynomial.constant(1, 1.0), d),))
+    p = 0.5825384138759848 - 0.21482891523042505j
+    assert d(p) != 0
+    with pytest.raises(DenominatorVanishes):
+        integrate_leaf(X, p)
+    with pytest.raises(DenominatorVanishes):
+        leaf_curvature(HoloMap.poly(1, {(2,): 1, (0,): -1}), X, p)
 
 
 def test_transverse_field_construction():

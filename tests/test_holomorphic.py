@@ -1,15 +1,16 @@
 """Tests for polynomial maps, jets, and the Wirtinger stencil oracle."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from grauertlab.errors import DenominatorVanishes, OrderUnsupported
 from grauertlab.holomorphic import HoloMap, Polynomial, eval_jet, multi_indices
-from oracles import wirtinger_fd
+from oracles import symbolic_jet, symbolic_value, wirtinger_fd
 
 
 def test_monomial_jet():
@@ -143,3 +144,33 @@ def test_gradient_oracle_random(salt):
 
         d_fd = wirtinger_fd(F_re, 0j).d + 1j * wirtinger_fd(F_im, 0j).d
         assert abs(d_fd - j.d(i)) < 1e-5 * max(1.0, abs(j.d(i)))
+
+
+def _bits(c: complex) -> bytes:
+    return struct.pack("<dd", c.real, c.imag)
+
+
+@st.composite
+def map_and_point(draw):
+    n = draw(st.integers(1, 3))
+    num = draw(random_poly(n)).num
+    den = draw(random_poly(n)).num if draw(st.booleans()) else None
+    cs = st.complex_numbers(max_magnitude=3, allow_nan=False, allow_infinity=False)
+    z = tuple(draw(st.lists(cs, min_size=n, max_size=n)))
+    return HoloMap(num, den), z
+
+
+@settings(max_examples=200, deadline=None)
+@given(map_and_point())
+def test_eval_jet_bit_identical_to_symbolic_jet(fz):
+    # values and partials read off the terms are the symbolic derivatives'
+    # values bit for bit, for polynomials and quotients alike
+    f, z = fz
+    assume(f.den is None or symbolic_value(f.den, z) != 0)
+    for k in range(4):
+        ref = symbolic_jet(f, z, k)
+        got = eval_jet(f, z, k).coeffs
+        assert list(got) == list(ref)
+        assert [_bits(got[a]) for a in ref] == [_bits(ref[a]) for a in ref]
+    assert _bits(f(z)) == _bits(ref[(0,) * f.n])
+    assert _bits(f.num(z)) == _bits(symbolic_value(f.num, z))

@@ -161,3 +161,22 @@ def test_on_divisor_error():
         line_curvature(HoloMap.poly(1, {(3,): 1}), 1e-50)
     with pytest.raises(OnDivisor):
         hsc(HoloMap.poly(2, {(1, 0): 1}), (1e-200, 1.0), (1, 0))
+
+
+# gamma_jet's overflow warns before the metric rejects the point
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_gamma_overflow_is_on_divisor():
+    # for f = z, gamma(|f|^2) overflows for 1e-140 < |z| < 4.55e-79, above
+    # the divisor tolerance: no NaN or inf metric value is returned there
+    f = HoloMap.poly(1, {(1,): 1})
+    for z in (1e-139, 1e-100, 1e-80):
+        with pytest.raises(OnDivisor):
+            metric_matrix(f, z)
+        with pytest.raises(OnDivisor):
+            metric_eval(f, z, [1.0])
+        with pytest.raises(OnDivisor):
+            metric_det(f, z)
+    assert np.all(np.isfinite(metric_matrix(f, 1e-78)))
+    assert np.isfinite(metric_eval(f, 1e-78, [1.0]))
+    assert np.isfinite(metric_det(f, 1e-78))
