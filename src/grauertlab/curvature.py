@@ -13,6 +13,7 @@ from .errors import NotCritical, ZeroVector
 from .holomorphic import HoloMap, _as_point, eval_jet
 from .metric import (
     MetricDerivatives,
+    _as_direction,
     _off_divisor_value,
     metric_eval,
     metric_matrix_jet,
@@ -45,7 +46,7 @@ def holo_sectional_curvature(f: HoloMap, p, V) -> float:
     Scale-invariant in V; normalized so the n = 1 value is the Gaussian
     curvature of the conformal density.
     """
-    V = np.asarray(V, dtype=complex)
+    V = _as_direction(V)
     if not np.any(V):
         raise ZeroVector("direction V must be nonzero")
     md = metric_matrix_jet(f, p)

@@ -25,7 +25,7 @@ SERIES_RADIUS = 1e-3
 _SERIES_ORDER = 10
 
 
-def _u_series_coeffs(order: int) -> np.ndarray:
+def _u_taylor_coeffs(order: int) -> np.ndarray:
     # u(1+s) = 1 / (1 + sum_{k>=1} c_k s^k) with c_k = (-1)^{k+1}/(k(k+1)),
     # from (1+s)log(1+s)/s; invert the power series by recurrence.
     c = np.zeros(order + 1)
@@ -39,7 +39,7 @@ def _u_series_coeffs(order: int) -> np.ndarray:
     return a
 
 
-_U_COEFFS = _u_series_coeffs(_SERIES_ORDER)
+_U_COEFFS = _u_taylor_coeffs(_SERIES_ORDER)
 
 
 @dataclass(frozen=True)

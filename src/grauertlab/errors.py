@@ -34,6 +34,10 @@ class SolveFailure(GrauertError):
     """A linear solve exceeded the conditioning guard."""
 
 
+class NonFiniteInput(GrauertError):
+    """An argument that must be finite holds a NaN or an infinity."""
+
+
 class ZeroVector(GrauertError):
     """A direction argument was the zero vector."""
 

@@ -1,11 +1,12 @@
-"""Holomorphic vector fields, power-series leaf integration, and the
-curvature of the metric restricted to leaves.
+"""Holomorphic vector fields, order-2 leaf charts, and the curvature of the
+metric restricted to leaves.
 
-A leaf chart is the truncated Taylor solution of Z'(T) = X(Z(T)), Z(0) = p.
-The leaf-restricted density h(T) factors through holomorphic series
-(f o Z, its derivative, and the field along the leaf, which is Z'), so its
-Wirtinger jet at T = 0 -- and hence the leaf curvature -- is computed in
-closed form from an order-2 chart.
+A leaf chart is the order-2 Taylor solution of Z'(T) = X(Z(T)), Z(0) = p,
+read off the 1-jet of the field X at p.  The leaf-restricted density h(T)
+depends on f o Z, its derivative, and the field along the leaf, which is
+Z', so its Wirtinger jet at T = 0 -- and hence the leaf curvature -- follows
+by the chain rule from the 2-jet of f and the chart.  Maps are evaluated
+only through :func:`grauertlab.holomorphic.eval_jet`.
 """
 
 from __future__ import annotations
@@ -15,10 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import DensityJet, gaussian_conformal, pullback_density_jet
-from .errors import (DegenerateDirection, DenominatorVanishes, LeafIllConditioned,
-                     OnDivisor, SingularField)
+from .errors import DegenerateDirection, LeafIllConditioned, SingularField
 from .holomorphic import HoloMap, Polynomial, _as_point, eval_jet
-from .metric import DIVISOR_TOL
+from .metric import _off_divisor_value
 
 #: |X(p)| below this counts as a singular point of the field
 FIELD_TOL = 1e-10
@@ -26,65 +26,6 @@ FIELD_TOL = 1e-10
 #: a leaf curvature whose rounding-error bound exceeds this times
 #: max(1, |K|) is rejected
 LEAF_ROUNDING_TOL = 1e-10
-
-
-# -- truncated power series in one variable, complex coefficients -----------
-
-def _series_mul(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
-    out = np.zeros(m + 1, dtype=complex)
-    for i, ai in enumerate(a[: m + 1]):
-        if ai == 0:
-            continue
-        top = min(m - i, len(b) - 1)
-        out[i : i + top + 1] += ai * b[: top + 1]
-    return out
-
-
-def _series_div(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
-    out = np.zeros(m + 1, dtype=complex)
-    for i in range(m + 1):
-        acc = a[i] if i < len(a) else 0.0
-        for j in range(1, i + 1):
-            if j < len(b):
-                acc -= b[j] * out[i - j]
-        out[i] = acc / b[0]
-    return out
-
-
-def _poly_on_series(p: Polynomial, Z: list[np.ndarray], m: int) -> np.ndarray:
-    """Compose a polynomial with component series, truncated at order m."""
-    powers: list[dict[int, np.ndarray]] = [dict() for _ in range(p.n)]
-    one = np.zeros(m + 1, dtype=complex)
-    one[0] = 1.0
-
-    def power(i: int, e: int) -> np.ndarray:
-        if e == 0:
-            return one
-        cache = powers[i]
-        if e not in cache:
-            cache[e] = _series_mul(power(i, e - 1), Z[i], m)
-        return cache[e]
-
-    out = np.zeros(m + 1, dtype=complex)
-    for exp, c in p.terms.items():
-        term = one
-        for i, e in enumerate(exp):
-            if e:
-                term = _series_mul(term, power(i, e), m)
-        out += c * term
-    return out
-
-
-def _map_on_series(f: HoloMap, Z: list[np.ndarray], m: int) -> np.ndarray:
-    num = _poly_on_series(f.num, Z, m)
-    if f.den is None:
-        return num
-    den = _poly_on_series(f.den, Z, m)
-    if den[0] == 0:
-        # the series can cancel to 0 where the map's own evaluation does not
-        base = tuple(complex(s[0]) for s in Z)
-        raise DenominatorVanishes(f"denominator vanishes at {base}")
-    return _series_div(num, den, m)
 
 
 # -- vector fields and leaf charts ------------------------------------------
@@ -127,54 +68,48 @@ class VectorField:
 
 @dataclass(frozen=True)
 class LeafChart:
-    """Truncated Taylor parametrization of a leaf through its base point."""
+    """Order-2 Taylor parametrization of a leaf through its base point."""
 
     base: tuple[complex, ...]
-    order: int
-    coeffs: np.ndarray  # shape (order + 1, n); coeffs[0] = base
+    coeffs: np.ndarray  # row j is c_j, so coeffs[0] = base; shape (3, n)
 
     @property
     def n(self) -> int:
         return len(self.base)
 
 
-def integrate_leaf(X: VectorField, p, order: int = 2) -> LeafChart:
-    """Taylor coefficients of Z'(T) = X(Z(T)), Z(0) = p, up to ``order``.
+def integrate_leaf(X: VectorField, p) -> LeafChart:
+    """Taylor coefficients c_0, c_1, c_2 of Z'(T) = X(Z(T)), Z(0) = p.
 
-    Coefficient recursion c_{j+1} = [T^j] X(Z(T)) / (j + 1).
+    From the 1-jet of X at p: c_1 = X(p) and c_2 = J_X(p) X(p) / 2, where
+    J_X stacks the gradients of the components.
     """
-    if not 1 <= order <= 24:
-        raise ValueError("order must be in 1..24")
-    p = _as_point(p, X.n)
-    if float(np.linalg.norm(X(p))) <= FIELD_TOL:
+    jets = [eval_jet(comp, p, 1) for comp in X.components]
+    p = jets[0].point
+    c1 = np.array([jet.value for jet in jets])
+    if float(np.linalg.norm(c1)) <= FIELD_TOL:
         raise SingularField(f"|X({p})| <= {FIELD_TOL}")
-    n = X.n
-    coeffs = np.zeros((order + 1, n), dtype=complex)
-    coeffs[0] = p
-    for j in range(order):
-        Z = [coeffs[: j + 1, i].copy() for i in range(n)]
-        for i, comp in enumerate(X.components):
-            rhs = _map_on_series(comp, Z, j)
-            coeffs[j + 1, i] = rhs[j] / (j + 1)
-    return LeafChart(p, order, coeffs)
+    JX = np.array([jet.gradient() for jet in jets])
+    return LeafChart(p, np.array([p, c1, (JX @ c1) / 2]))
 
 
 # -- leaf-restricted density and curvature ----------------------------------
 
 def leaf_density_jet(f: HoloMap, chart: LeafChart) -> DensityJet:
-    """Wirtinger jet of h(T) at T = 0, assembled from holomorphic series.
+    """Wirtinger jet of h(T) at T = 0, from the 2-jet of f and the chart.
 
     With g = f o Z the pullback satisfies dg/dT = df(Z)(X(Z)), so
     h(T) = gamma(|g|^2) |g'|^2 + |X(Z)|^2.  The field along the leaf is
-    X(Z(T)) = Z'(T), so its value and derivative at 0 are c_1 and 2 c_2 of
-    the chart, which needs order >= 2.
+    chi(T) = X(Z(T)) = Z'(T), so chi(0) = c_1 and chi'(0) = 2 c_2; by the
+    chain rule g'(0) = a . c_1 and g''(0) = c_1^T H c_1 + a . chi'(0), with
+    a and H the gradient and Hessian of f at the base point.
     """
+    jet = eval_jet(f, chart.base, 2)
+    g0 = _off_divisor_value(jet)
+    a, H = jet.gradient(), jet.hessian()
     c = chart.coeffs
-    Z = [c[:3, i].copy() for i in range(chart.n)]
-    g = _map_on_series(f, Z, 2)
-    if abs(g[0]) < DIVISOR_TOL:
-        raise OnDivisor(f"f vanishes along the leaf at {chart.base}")
-    return pullback_density_jet(0j, g[0], g[1], 2.0 * g[2], c[1], 2.0 * c[2])
+    chi1 = 2.0 * c[2]
+    return pullback_density_jet(0j, g0, a @ c[1], c[1] @ H @ c[1] + a @ chi1, c[1], chi1)
 
 
 def leaf_curvature(f: HoloMap, X: VectorField, p) -> float:

@@ -12,13 +12,14 @@ quadratic form of G^T, not phi(V).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .density import T_MIN, gamma_jet
-from .errors import OnDivisor, SolveFailure
+from .errors import NonFiniteInput, OnDivisor, SolveFailure
 from .holomorphic import HoloMap, Jet, eval_jet
 
 #: |f(z)| below this counts as "on the divisor": exactly where |f|^2 would
@@ -37,6 +38,14 @@ def _off_divisor_value(jet: Jet) -> complex:
     return v
 
 
+def _as_direction(V) -> np.ndarray:
+    """V as a complex array; NonFiniteInput when an entry is NaN or infinite."""
+    V = np.asarray(V, dtype=complex)
+    if not all(map(cmath.isfinite, V.ravel().tolist())):
+        raise NonFiniteInput(f"direction {V} is not finite")
+    return V
+
+
 def _gradient_and_gamma(f: HoloMap, z) -> tuple[np.ndarray, float]:
     """grad f(z) and gamma(|f(z)|^2) from one 1-jet of f.  Where gamma
     overflows (for f = z: 1e-140 < |z| < 4.55e-79) z counts as on the divisor.
@@ -53,7 +62,7 @@ def _gradient_and_gamma(f: HoloMap, z) -> tuple[np.ndarray, float]:
 
 def metric_eval(f: HoloMap, z, V) -> float:
     """Metric value phi(z, V) = gamma(|f|^2) |df(z)(V)|^2 + |V|^2."""
-    V = np.asarray(V, dtype=complex)
+    V = _as_direction(V)
     a, g = _gradient_and_gamma(f, z)
     dfv = np.dot(a, V)
     return float(g * abs(dfv) ** 2 + np.vdot(V, V).real)

@@ -3,11 +3,15 @@
 :func:`symbolic_jet` evaluates a map's partials the long way, through the
 derivative polynomials, as the reference for :func:`grauertlab.holomorphic.eval_jet`.
 :func:`wirtinger_fd` is the stencil oracle for first and mixed-second
-Wirtinger derivatives of real-smooth scalar fields on C.  The leaf helpers
-evaluate an order-16 leaf chart and the leaf-restricted density away from
-T = 0, inside a radius estimated from the chart's tail growth, so
+Wirtinger derivatives of real-smooth scalar fields on C.  :func:`series_chart`
+integrates a leaf to any order by composing the field with truncated power
+series, independently of the jets the order-2
+:func:`grauertlab.foliation.integrate_leaf` reads.  The leaf helpers evaluate
+an order-16 series chart and the leaf-restricted density away from T = 0,
+inside a radius estimated from the chart's tail growth, so
 :func:`stencil_leaf_curvature` checks the closed-form 2-jet path of
-:func:`grauertlab.foliation.leaf_curvature` independently.
+:func:`grauertlab.foliation.leaf_curvature` independently, and
+:func:`mp_leaf_curvature` checks its rounding against 50-digit arithmetic.
 """
 
 from __future__ import annotations
@@ -17,12 +21,13 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import mpmath as mp
 import numpy as np
 
 from grauertlab.density import DensityJet, gaussian_conformal
 from grauertlab.errors import GrauertError
-from grauertlab.foliation import LeafChart, VectorField, integrate_leaf
-from grauertlab.holomorphic import HoloMap, Polynomial, eval_jet, multi_indices
+from grauertlab.foliation import LeafChart, VectorField
+from grauertlab.holomorphic import HoloMap, Polynomial, _as_point, eval_jet, multi_indices
 from grauertlab.metric import metric_eval
 
 
@@ -60,6 +65,12 @@ def symbolic_jet(f: HoloMap, z, order: int) -> dict:
             out[alpha] = symbolic_value(q, z)
         return out
 
+    return _quotient_jet(f, poly_jet, order)
+
+
+def _quotient_jet(f: HoloMap, poly_jet: Callable[[Polynomial], dict], order: int) -> dict:
+    """Jet of f from ``poly_jet`` of its numerator and denominator: a
+    quotient's partials follow from num = q den by Leibniz inversion."""
     num = poly_jet(f.num)
     if f.den is None:
         return num
@@ -74,6 +85,65 @@ def symbolic_jet(f: HoloMap, z, order: int) -> dict:
                 acc -= binom * q[beta] * den[diff]
         q[alpha] = acc / den[(0,) * f.n]
     return q
+
+
+def mp_jet(f: HoloMap, z, order: int) -> dict:
+    """Partials d^alpha f(z), |alpha| <= order, in mpmath at the working
+    precision: the map's double coefficients and ``z`` are taken as exact."""
+    z = [mp.mpc(v) for v in _as_point(z, f.n)]
+
+    def poly_jet(p: Polynomial) -> dict:
+        out = {}
+        for alpha in multi_indices(p.n, order):
+            total = mp.mpc(0)
+            for exp, c in p.terms.items():
+                if all(e >= a for e, a in zip(exp, alpha)):
+                    term = mp.mpc(c)
+                    for zi, e, a in zip(z, exp, alpha):
+                        term *= mp.ff(e, a) * zi ** (e - a)
+                    total += term
+            out[alpha] = total
+        return out
+
+    return _quotient_jet(f, poly_jet, order)
+
+
+def _mp_gamma(t):
+    """gamma(t) = 1 + t u(t)^2 with u(t) = (t - 1)/(t log t), u(1) = 1."""
+    u = mp.mpf(1) if t == 1 else (t - 1) / (t * mp.log(t))
+    return 1 + t * u**2
+
+
+def mp_leaf_curvature(f: HoloMap, X: VectorField, p, dps: int = 50):
+    """Leaf curvature at ``p`` from the chain-rule density jet at ``dps``
+    digits, with gamma' and gamma'' from ``mpmath.diff``: the same formulas
+    as :func:`grauertlab.foliation.leaf_curvature` with no rounding to speak
+    of, so its distance from this value is the double path's rounding error.
+    """
+    n = X.n
+    with mp.workdps(dps):
+        units = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+        Xj = [mp_jet(comp, p, 1) for comp in X.components]
+        fj = mp_jet(f, p, 2)
+        c1 = [jet[(0,) * n] for jet in Xj]
+        chi1 = [sum(jet[e] * c for e, c in zip(units, c1)) for jet in Xj]
+        a = [fj[e] for e in units]
+        g0 = fj[(0,) * n]
+        g1 = sum(ai * ci for ai, ci in zip(a, c1))
+        g2 = sum(fj[tuple(x + y for x, y in zip(ei, ek))] * c1[i] * c1[k]
+                 for i, ei in enumerate(units) for k, ek in enumerate(units))
+        g2 += sum(ai * ci for ai, ci in zip(a, chi1))
+        t = abs(g0) ** 2
+        step = t * mp.ldexp(1, -mp.mp.prec - 10)  # relative: t may be tiny
+        g, gp, gpp = (mp.diff(_mp_gamma, t, k, h=step) for k in range(3))
+        s = abs(g1) ** 2
+        h = g * s + sum(abs(c) ** 2 for c in c1)
+        d = (gp * g1 * mp.conj(g0) * s + g * g2 * mp.conj(g1)
+             + sum(x * mp.conj(y) for x, y in zip(chi1, c1)))
+        ddbar = (gpp * t * s**2 + gp * s**2
+                 + 2 * mp.re(gp * g1**2 * mp.conj(g0 * g2))
+                 + g * abs(g2) ** 2 + sum(abs(c) ** 2 for c in chi1))
+        return -2 * (h * ddbar - abs(d) ** 2) / h**3
 
 
 class NonFiniteSample(GrauertError):
@@ -136,9 +206,78 @@ def wirtinger_fd(
     return WirtingerJet2(t0, s[1, 1], d, dbar, lap / 4.0)
 
 
+# -- truncated power series in one variable, complex coefficients -----------
+
+def _series_mul(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
+    out = np.zeros(m + 1, dtype=complex)
+    for i, ai in enumerate(a[: m + 1]):
+        if ai == 0:
+            continue
+        top = min(m - i, len(b) - 1)
+        out[i : i + top + 1] += ai * b[: top + 1]
+    return out
+
+
+def _series_div(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
+    out = np.zeros(m + 1, dtype=complex)
+    for i in range(m + 1):
+        acc = a[i] if i < len(a) else 0.0
+        for j in range(1, i + 1):
+            if j < len(b):
+                acc -= b[j] * out[i - j]
+        out[i] = acc / b[0]
+    return out
+
+
+def _poly_on_series(p: Polynomial, Z: list[np.ndarray], m: int) -> np.ndarray:
+    """Compose a polynomial with component series, truncated at order m."""
+    powers: list[dict[int, np.ndarray]] = [dict() for _ in range(p.n)]
+    one = np.zeros(m + 1, dtype=complex)
+    one[0] = 1.0
+
+    def power(i: int, e: int) -> np.ndarray:
+        if e == 0:
+            return one
+        cache = powers[i]
+        if e not in cache:
+            cache[e] = _series_mul(power(i, e - 1), Z[i], m)
+        return cache[e]
+
+    out = np.zeros(m + 1, dtype=complex)
+    for exp, c in p.terms.items():
+        term = one
+        for i, e in enumerate(exp):
+            if e:
+                term = _series_mul(term, power(i, e), m)
+        out += c * term
+    return out
+
+
+def _map_on_series(f: HoloMap, Z: list[np.ndarray], m: int) -> np.ndarray:
+    num = _poly_on_series(f.num, Z, m)
+    if f.den is None:
+        return num
+    return _series_div(num, _poly_on_series(f.den, Z, m), m)
+
+
+def series_chart(X: VectorField, p, order: int = CHART_ORDER) -> LeafChart:
+    """Leaf chart of Z'(T) = X(Z(T)), Z(0) = p, to any ``order``, by the
+    coefficient recursion c_{j+1} = [T^j] X(Z(T)) / (j + 1) on truncated
+    power series: an evaluation path independent of the jets.
+    """
+    p = _as_point(p, X.n)
+    coeffs = np.zeros((order + 1, X.n), dtype=complex)
+    coeffs[0] = p
+    for j in range(order):
+        Z = [coeffs[: j + 1, i].copy() for i in range(X.n)]
+        for i, comp in enumerate(X.components):
+            coeffs[j + 1, i] = _map_on_series(comp, Z, j)[j] / (j + 1)
+    return LeafChart(p, coeffs)
+
+
 def chart_radius(chart: LeafChart) -> float:
     """Half the convergence radius estimated from tail coefficient growth."""
-    m = chart.order
+    m = chart.coeffs.shape[0] - 1
     vals = []
     for j in range(max(1, m // 2), m + 1):
         mag = float(np.max(np.abs(chart.coeffs[j])))
@@ -160,7 +299,7 @@ def chart_value(chart: LeafChart, T: complex) -> np.ndarray:
 def chart_derivative(chart: LeafChart, T: complex) -> np.ndarray:
     """Z'(T) of a leaf chart, from its Taylor coefficients."""
     z = np.zeros(chart.n, dtype=complex)
-    for j in range(chart.order, 0, -1):
+    for j in range(chart.coeffs.shape[0] - 1, 0, -1):
         z = z * T + j * chart.coeffs[j]
     return z
 
@@ -169,7 +308,7 @@ def leaf_density(f: HoloMap, X: VectorField, p, T: complex,
                  chart: LeafChart | None = None) -> float:
     """Density h(T) of the leaf-restricted metric at parameter T."""
     if chart is None:
-        chart = integrate_leaf(X, p, order=CHART_ORDER)
+        chart = series_chart(X, p)
     radius = chart_radius(chart)
     if abs(T) >= radius:
         raise ValueError(f"|T| = {abs(T):.3e} outside chart radius {radius:.3e}")
@@ -195,7 +334,7 @@ def _stencil_step(f: HoloMap, X: VectorField, chart: LeafChart) -> float:
 
 def stencil_leaf_curvature(f: HoloMap, X: VectorField, p) -> float:
     """Leaf curvature from finite differences of h(T), Richardson-extrapolated."""
-    chart = integrate_leaf(X, p, order=CHART_ORDER)
+    chart = series_chart(X, p)
 
     def F(T: complex) -> float:
         return leaf_density(f, X, p, T, chart=chart)

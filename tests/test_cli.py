@@ -205,6 +205,21 @@ def test_arithmetic_error_exit_2(workdir, capsys, p):
     assert "error: OverflowError: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["hsc", "--f", "f2.json", "--p", "2", "1", "--V", "nan", "0"],
+    ["metric-eval", "--f", "f2.json", "--z", "2", "1", "--V", "inf", "0"],
+    ["curvature-grid", "--f", "f1.json", "--grid", "grid1.json", "--V", "nan"],
+    ["liminf", "--family", "fam1.json", "--p", "3", "--V", "nan", "--tail", "8"],
+])
+def test_non_finite_direction_exit_2_no_output(workdir, capsys, argv):
+    # a NaN or infinite direction is an input error: no NaN row, no file
+    out = workdir / "never.out"
+    argv = [str(workdir / a) if a.endswith(".json") else a for a in argv]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+    assert "NonFiniteInput" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("suite", sorted(SUITES))
 def test_verify_matches_reference_report(workdir, suite):
     # reports at the default seed are byte-identical to the kept references

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from grauertlab.curvature import hsc, line_curvature
 from grauertlab.density import gaussian_conformal
-from grauertlab.errors import DenominatorVanishes, LeafIllConditioned, SingularField
+from grauertlab.errors import GrauertError, LeafIllConditioned, SingularField
 from grauertlab.foliation import (
     VectorField,
     divisor_approach,
@@ -21,11 +21,12 @@ from grauertlab.foliation import (
 from grauertlab.holomorphic import HoloMap, Polynomial, eval_jet
 from grauertlab.metric import metric_eval
 from oracles import (
-    CHART_ORDER,
     chart_derivative,
     chart_radius,
     chart_value,
     leaf_density,
+    mp_leaf_curvature,
+    series_chart,
     stencil_leaf_curvature,
 )
 
@@ -39,7 +40,7 @@ def test_constant_field_straight_leaf():
 
 def test_linear_field_exponential_leaf():
     X = VectorField((HoloMap.poly(1, {(1,): 1}),))
-    c = integrate_leaf(X, [1.0], order=10)
+    c = series_chart(X, [1.0], 10)
     import math
 
     for j in range(11):
@@ -49,7 +50,7 @@ def test_linear_field_exponential_leaf():
 def test_quadratic_field_geometric_leaf():
     # X(z) = z^2 at p = 1 integrates to z = 1/(1 - T): c_j = 1
     X = VectorField((HoloMap.poly(1, {(2,): 1}),))
-    c = integrate_leaf(X, [1.0], order=12)
+    c = series_chart(X, [1.0], 12)
     assert np.allclose(c.coeffs[:, 0], 1.0)
     assert chart_radius(c) < 1.0  # unit-radius pole is detected
 
@@ -75,7 +76,7 @@ def test_leaf_residual(salt):
     p = rng.normal(size=n) + 1j * rng.normal(size=n)
     if np.linalg.norm(X(p)) < 1e-6:
         return
-    chart = integrate_leaf(X, p, order=CHART_ORDER)
+    chart = series_chart(X, p)
     T = 0.5 * chart_radius(chart)
     assert np.linalg.norm(chart_derivative(chart, T) - X(chart_value(chart, T))) < 1e-9
 
@@ -215,18 +216,90 @@ def test_leaf_curvature_near_field_pole_rejected():
 
 
 def test_field_denominator_cancelling_on_the_chart_rejected():
-    # X = 1/d with d(p) = -1.1e-16 as the map evaluates it, while d composed
-    # with the leaf series cancels to exactly 0 at T = 0
+    # X = 1/d with d(p) = -1.1e-16 as the map evaluates it (d composed with
+    # a leaf series cancels to exactly 0 at T = 0); the chart reads
+    # X(p) = -9.0e15 off the field's own jet, and the rounding bound rejects
+    # the curvature there
     d = Polynomial(1, {(2,): 1.0,
                        (1,): -1.1650768373113802 + 0.4296578222537116j,
                        (0,): 0.2931995481539216 - 0.25029218833872474j})
     X = VectorField((HoloMap(Polynomial.constant(1, 1.0), d),))
     p = 0.5825384138759848 - 0.21482891523042505j
     assert d(p) != 0
-    with pytest.raises(DenominatorVanishes):
-        integrate_leaf(X, p)
-    with pytest.raises(DenominatorVanishes):
+    chart = integrate_leaf(X, p)
+    assert chart.coeffs[1, 0] == X(p)[0]
+    with pytest.raises(LeafIllConditioned):
         leaf_curvature(HoloMap.poly(1, {(2,): 1, (0,): -1}), X, p)
+
+
+def _random_poly(rng, n: int, terms: int, degree: int) -> Polynomial:
+    exps = [tuple(int(e) for e in rng.integers(0, degree + 1, size=n))
+            for _ in range(terms)]
+    return Polynomial(n, {e: complex(*rng.normal(size=2)) for e in exps})
+
+
+def _leaf_draw(rng):
+    """A polynomial map f on C^n (n = 1..3), a constant, polynomial,
+    quotient or transverse field X, and a base point p with |f(p)| >= 0.1,
+    |X(p)| >= 1e-3 and every field denominator >= 0.1 in modulus at p."""
+    n = int(rng.integers(1, 4))
+    kind = ("constant", "polynomial", "quotient", "transverse")[int(rng.integers(4))]
+    while True:
+        f = HoloMap(_random_poly(rng, n, 4, 2) + Polynomial.constant(n, 1.0))
+        p = tuple(complex(*rng.normal(size=2)) for _ in range(n))
+        if abs(f(p)) < 0.1:
+            continue
+        if kind == "constant":
+            X = VectorField.constant(rng.normal(size=n) + 1j * rng.normal(size=n))
+        elif kind == "polynomial":
+            X = VectorField(tuple(HoloMap(_random_poly(rng, n, 3, 2))
+                                  for _ in range(n)))
+        elif kind == "quotient":
+            X = VectorField(tuple(
+                HoloMap(_random_poly(rng, n, 2, 1),
+                        _random_poly(rng, n, 2, 1) + Polynomial.constant(n, 1.0))
+                for _ in range(n)))
+        else:
+            try:
+                X = transverse_field(f, p)
+            except GrauertError:
+                continue
+        dens = [c.den for c in X.components if c.den is not None]
+        if any(abs(den(p)) < 0.1 for den in dens):
+            continue
+        if np.linalg.norm(X(p)) >= 1e-3:
+            return f, X, p
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_chart_matches_series_chart(salt):
+    # rows 1-2 read off the field's 1-jet agree with the power-series
+    # recursion to rounding, relative to each row's largest entry
+    f, X, p = _leaf_draw(np.random.default_rng(salt))
+    ours = integrate_leaf(X, p).coeffs
+    ref = series_chart(X, p, 2).coeffs
+    assert ours.shape == ref.shape == (3, X.n)
+    assert np.array_equal(ours[0], ref[0])
+    for j in (1, 2):
+        assert np.max(np.abs(ours[j] - ref[j])) <= 1e-13 * np.max(np.abs(ref[j]))
+
+
+def test_leaf_curvature_rounding_against_mpmath():
+    # every value the rounding guard accepts is within 1e-11 max(1, |K|) of
+    # the chain-rule density jet evaluated at 50 digits
+    rng = np.random.default_rng(16)
+    accepted = 0
+    for _ in range(120):
+        f, X, p = _leaf_draw(rng)
+        try:
+            K = leaf_curvature(f, X, p)
+        except GrauertError:
+            continue
+        accepted += 1
+        ref = float(mp_leaf_curvature(f, X, p))
+        assert abs(K - ref) <= 1e-11 * max(1.0, abs(K)), (f, X, p, K, ref)
+    assert accepted >= 100
 
 
 def test_transverse_field_construction():

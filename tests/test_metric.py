@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from grauertlab.curvature import hsc, line_curvature
-from grauertlab.errors import OnDivisor
+from grauertlab.errors import NonFiniteInput, OnDivisor
 from grauertlab.holomorphic import HoloMap
 from grauertlab.metric import (
     metric_det,
@@ -180,3 +180,17 @@ def test_gamma_overflow_is_on_divisor():
     assert np.all(np.isfinite(metric_matrix(f, 1e-78)))
     assert np.isfinite(metric_eval(f, 1e-78, [1.0]))
     assert np.isfinite(metric_det(f, 1e-78))
+
+
+@pytest.mark.parametrize("V", [(np.nan, 0), (np.inf, 0), (1, complex(0, np.inf))])
+def test_non_finite_direction_rejected(V):
+    f = HoloMap.poly(2, {(1, 1): 1, (0, 0): -1})
+    with pytest.raises(NonFiniteInput):
+        metric_eval(f, (2.0, 1.0), V)
+    with pytest.raises(NonFiniteInput):
+        hsc(f, (2.0, 1.0), V)
+    # the direction is checked before the jet: on the divisor too
+    with pytest.raises(NonFiniteInput):
+        metric_eval(f, (1.0, 1.0), V)
+    with pytest.raises(NonFiniteInput):
+        hsc(f, (1.0, 1.0), V)
