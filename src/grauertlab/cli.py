@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 import tempfile
 
@@ -279,8 +280,20 @@ def _cmd_verify(a) -> int:
     return 0 if rep["pass"] else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a token that starts like a negative number as a value, so that
+    coordinates such as ``-1e-3``, ``-2j`` and ``-1+2j`` are not taken for
+    options; argparse alone accepts only ``-1`` and ``-0.5`` forms.  No
+    option of this parser starts with a digit.  Subparsers inherit the class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="grauertlab",
         description="Grauert-metric experiments on complements of principal divisors.",
     )

@@ -6,7 +6,6 @@ closed forms.
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import norm, qmc
 
 from .density import DensityJet, gamma_jet, gaussian_conformal, pullback_density_jet
 from .errors import NotCritical, ZeroVector
@@ -32,11 +31,12 @@ def kahler_tensor(md: MetricDerivatives) -> np.ndarray:
     """
     n = md.G.shape[0]
     R = np.empty((n, n, n, n), dtype=complex)
+    dG_Ginv = [md.dG[k] @ md.Ginv for k in range(n)]
+    # dbar_l G_{pj.} = conj(d_l G_{jp.})
+    dbarG = [np.conj(md.dG[l]).T for l in range(n)]
     for k in range(n):
         for l in range(n):
-            # dbar_l G_{pj.} = conj(d_l G_{jp.})
-            dbarG = np.conj(md.dG[l]).T
-            R[:, :, k, l] = -md.ddG[k, l] + md.dG[k] @ md.Ginv @ dbarG
+            np.add(-md.ddG[k, l], dG_Ginv[k] @ dbarG[l], out=R[:, :, k, l])
     return R
 
 
@@ -63,6 +63,10 @@ hsc = holo_sectional_curvature
 
 def _sphere_samples(n: int, samples: int, seed: int) -> np.ndarray:
     """Deterministic low-discrepancy directions on the unit sphere of C^n."""
+    # scipy.stats takes about 1.2 s to import, and only direction sampling
+    # needs it, so commands that never sample do not pay for it
+    from scipy.stats import norm, qmc
+
     sob = qmc.Sobol(d=2 * n, scramble=True, seed=seed)
     u = sob.random(samples)
     x = norm.ppf(np.clip(u, 1e-12, 1 - 1e-12))

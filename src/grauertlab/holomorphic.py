@@ -8,9 +8,11 @@ so values and partials come from one evaluation path, :func:`eval_jet`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -22,9 +24,9 @@ DEGREE_CAP = 32
 
 
 def _as_point(p, n: int) -> tuple[complex, ...]:
-    if np.isscalar(p):
+    if not isinstance(p, tuple) and np.isscalar(p):
         p = (p,)
-    p = tuple(complex(v) for v in p)
+    p = tuple(map(complex, p))
     if len(p) != n:
         raise ValueError(f"point has {len(p)} coordinates, map expects {n}")
     return p
@@ -32,10 +34,15 @@ def _as_point(p, n: int) -> tuple[complex, ...]:
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Sparse multivariate polynomial: multi-index exponent -> coefficient."""
+    """Sparse multivariate polynomial: multi-index exponent -> coefficient.
+
+    ``terms`` is read-only, so the jet plans compiled from it and cached on
+    the instance (one per jet order, built on first use) cannot go stale.
+    """
 
     n: int
     terms: Mapping[tuple[int, ...], complex] = field(default_factory=dict)
+    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -50,7 +57,9 @@ class Polynomial:
             c = complex(c)
             if c != 0:
                 clean[exp] = clean.get(exp, 0) + c
-        object.__setattr__(self, "terms", {e: c for e, c in clean.items() if c != 0})
+        object.__setattr__(
+            self, "terms", MappingProxyType({e: c for e, c in clean.items() if c != 0})
+        )
 
     # -- constructors -------------------------------------------------------
 
@@ -62,6 +71,17 @@ class Polynomial:
 
     def __call__(self, p) -> complex:
         return _poly_jet(self, _as_point(p, self.n), 0)[(0,) * self.n]
+
+    def __reduce__(self):
+        # the read-only terms view does not pickle; rebuild from a dict
+        return Polynomial, (self.n, dict(self.terms))
+
+    def _plan(self, order: int) -> tuple:
+        """The jet plan of :func:`_compile_jet` for ``order``, built once."""
+        plan = self._plans.get(order)
+        if plan is None:
+            plan = self._plans[order] = _compile_jet(self, order)
+        return plan
 
     def partial(self, i: int) -> "Polynomial":
         out = {}
@@ -169,12 +189,49 @@ class HoloMap:
 
 def multi_indices(n: int, order: int) -> list[tuple[int, ...]]:
     """All multi-indices alpha with |alpha| <= order, sorted by |alpha|."""
+    return list(_multi_indices(n, order))
+
+
+@functools.cache
+def _multi_indices(n: int, order: int) -> tuple[tuple[int, ...], ...]:
     out = []
     for total in range(order + 1):
         for alpha in itertools.product(range(total + 1), repeat=n):
             if sum(alpha) == total:
                 out.append(alpha)
-    return out
+    return tuple(out)
+
+
+@functools.cache
+def _unit_indices(n: int) -> tuple[tuple[int, ...], ...]:
+    """alpha = e_i for each i: the keys of the first partials."""
+    return tuple(tuple(int(j == i) for j in range(n)) for i in range(n))
+
+
+@functools.cache
+def _pair_indices(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """alpha = e_i + e_j, row i and column j: the keys of the second partials."""
+    e = _unit_indices(n)
+    return tuple(
+        tuple(tuple(a + b for a, b in zip(e[i], e[j])) for j in range(n))
+        for i in range(n)
+    )
+
+
+@functools.cache
+def _leibniz_plan(n: int, order: int) -> tuple:
+    """(alpha, ((binom, beta, alpha - beta), ...)) for every alpha of
+    :func:`_multi_indices`, over beta < alpha in product order."""
+    plan = []
+    for alpha in _multi_indices(n, order):
+        steps = []
+        for beta in itertools.product(*(range(a + 1) for a in alpha)):
+            if beta != alpha:
+                binom = math.prod(math.comb(a, b) for a, b in zip(alpha, beta))
+                diff = tuple(a - b for a, b in zip(alpha, beta))
+                steps.append((binom, beta, diff))
+        plan.append((alpha, tuple(steps)))
+    return tuple(plan)
 
 
 @dataclass(frozen=True)
@@ -194,42 +251,63 @@ class Jet:
         return self.coeffs[(0,) * self.n]
 
     def d(self, i: int) -> complex:
-        alpha = [0] * self.n
-        alpha[i] = 1
-        return self.coeffs[tuple(alpha)]
+        return self.coeffs[_unit_indices(self.n)[i]]
 
     def d2(self, i: int, j: int) -> complex:
-        alpha = [0] * self.n
-        alpha[i] += 1
-        alpha[j] += 1
-        return self.coeffs[tuple(alpha)]
+        return self.coeffs[_pair_indices(self.n)[i][j]]
 
     def gradient(self) -> np.ndarray:
-        return np.array([self.d(i) for i in range(self.n)])
+        c = self.coeffs
+        return np.array([c[alpha] for alpha in _unit_indices(self.n)])
 
     def hessian(self) -> np.ndarray:
-        return np.array(
-            [[self.d2(i, j) for j in range(self.n)] for i in range(self.n)]
-        )
+        c = self.coeffs
+        return np.array([[c[alpha] for alpha in row] for row in _pair_indices(self.n)])
 
 
-def _poly_jet(p: Polynomial, z: tuple[complex, ...], order: int) -> dict:
-    """Partials d^alpha p(z), |alpha| <= order, straight from the terms: the
-    operations, in order, of evaluating the derivative polynomials that
-    ``Polynomial.partial`` builds (variable 0 first), so bit-identical to them.
+def _compile_jet(p: Polynomial, order: int) -> tuple:
+    """The plan :func:`_poly_jet` runs: ``(powers, rows)``.
+
+    ``powers`` lists the (variable, exponent) pairs whose powers a jet reads.
+    ``rows`` holds, for each alpha of :func:`_multi_indices`, the terms with
+    exp >= alpha in term order, each as its coefficient times the falling
+    factorials of d^alpha (variable 0 first) and the slots in ``powers`` of
+    its remaining factors z_i^(e_i - alpha_i), in variable order.
     """
-    coeffs = {}
-    for alpha in multi_indices(p.n, order):
-        total = 0j
+    slots: dict = {}
+    rows = []
+    for alpha in _multi_indices(p.n, order):
+        terms = []
         for exp, c in p.terms.items():
             if any(e < a for e, a in zip(exp, alpha)):
                 continue
             for e, a in zip(exp, alpha):
                 for k in range(a):
                     c *= e - k
-            for zi, e, a in zip(z, exp, alpha):
-                if e > a:
-                    c *= zi ** (e - a)
+            factors = tuple(
+                slots.setdefault((i, e - a), len(slots))
+                for i, (e, a) in enumerate(zip(exp, alpha))
+                if e > a
+            )
+            terms.append((c, factors))
+        rows.append((alpha, tuple(terms)))
+    return tuple(slots), tuple(rows)
+
+
+def _poly_jet(p: Polynomial, z: tuple[complex, ...], order: int) -> dict:
+    """Partials d^alpha p(z), |alpha| <= order, straight from the terms: the
+    operations, in order, of evaluating the derivative polynomials that
+    ``Polynomial.partial`` builds (variable 0 first), so bit-identical to them.
+    Each power z_i^k is computed once per call.
+    """
+    powers, rows = p._plan(order)
+    zk = [z[i] ** k for i, k in powers]
+    coeffs = {}
+    for alpha, terms in rows:
+        total = 0j
+        for c, factors in terms:
+            for s in factors:
+                c *= zk[s]
             total += c
         coeffs[alpha] = total
     return coeffs
@@ -249,12 +327,9 @@ def eval_jet(f: HoloMap, p, order: int) -> Jet:
         raise DenominatorVanishes(f"denominator vanishes at {z}")
     # Leibniz inversion: num = q * den determines the quotient jet recursively.
     q: dict = {}
-    for alpha in multi_indices(f.n, order):
+    for alpha, steps in _leibniz_plan(f.n, order):
         acc = num[alpha]
-        for beta in itertools.product(*(range(a + 1) for a in alpha)):
-            if beta != alpha:
-                binom = math.prod(math.comb(a, b) for a, b in zip(alpha, beta))
-                diff = tuple(a - b for a, b in zip(alpha, beta))
-                acc -= binom * q[beta] * den[diff]
+        for binom, beta, diff in steps:
+            acc -= binom * q[beta] * den[diff]
         q[alpha] = acc / d0
     return Jet(z, order, q)

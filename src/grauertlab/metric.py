@@ -13,6 +13,7 @@ quadratic form of G^T, not phi(V).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -28,6 +29,14 @@ DIVISOR_TOL = math.sqrt(T_MIN)
 
 #: Sherman-Morrison conditioning guard before declaring failure
 COND_LIMIT = 1e12
+
+
+@functools.cache
+def _identity(n: int) -> np.ndarray:
+    """The read-only n x n identity, built once per n."""
+    eye = np.eye(n)
+    eye.setflags(write=False)
+    return eye
 
 
 def _off_divisor_value(jet: Jet) -> complex:
@@ -71,7 +80,7 @@ def metric_eval(f: HoloMap, z, V) -> float:
 def metric_matrix(f: HoloMap, z) -> np.ndarray:
     """Matrix G(z) of the metric; Hermitian, eigenvalues >= 1."""
     a, g = _gradient_and_gamma(f, z)
-    G = g * np.outer(a, np.conj(a)) + np.eye(f.n)
+    G = g * np.outer(a, np.conj(a)) + _identity(f.n)
     return 0.5 * (G + G.conj().T)  # Hermitian by construction
 
 
@@ -104,22 +113,38 @@ def metric_matrix_jet(f: HoloMap, z) -> MetricDerivatives:
     t = abs(fz) ** 2
     g, gp, gpp = gamma_jet(t)
 
-    aa = np.outer(a, np.conj(a))
-    G = g * aa + np.eye(n)
+    # np.outer(x, y) is x[:, None] * y[None, :], and H[k] is the column
+    # H[:, k] (H[i, j] and H[j, i] read one partial).  The blocks shared by
+    # the k, l loops are built once; each product keeps its operands and their
+    # order, and small arrays keep their shapes, so every value is the same
+    # bits as with the blocks rebuilt for each k, l (tests/oracles.py).
+    ca, cH, cfz = np.conj(a), np.conj(H), np.conj(fz)
+    a_col, ca_row = a[:, None], ca[None, :]
+    aa = a_col * ca_row
+    G = g * aa + _identity(n)
+
+    s = [gp * a[k] * cfz for k in range(n)]  # d_k gamma(|f|^2) = gp a_k conj(f)
+    H_col = [H[k][:, None] for k in range(n)]
+    cH_row = [cH[l][None, :] for l in range(n)]
+    Hca = [H_col[k] * ca_row for k in range(n)]
+    acH = [a_col * cH_row[l] for l in range(n)]
+    ca_l = list(ca)
+    w = gpp * t + gp
+    gpfz_ca = [gp * fz * ca_l[l] for l in range(n)]
 
     dG = np.empty((n, n, n), dtype=complex)
     for k in range(n):
-        dG[k] = gp * a[k] * np.conj(fz) * aa + g * np.outer(H[:, k], np.conj(a))
+        dG[k] = s[k] * aa + g * Hca[k]
 
     ddG = np.empty((n, n, n, n), dtype=complex)
     for k in range(n):
+        wa = w * a[k]
         for l in range(n):
-            ddG[k, l] = (
-                (gpp * t + gp) * a[k] * np.conj(a[l]) * aa
-                + gp * a[k] * np.conj(fz) * np.outer(a, np.conj(H[:, l]))
-                + gp * fz * np.conj(a[l]) * np.outer(H[:, k], np.conj(a))
-                + g * np.outer(H[:, k], np.conj(H[:, l]))
-            )
+            block = ddG[k, l]
+            np.multiply(wa * ca_l[l], aa, out=block)
+            block += s[k] * acH[l]
+            block += gpfz_ca[l] * Hca[k]
+            block += g * (H_col[k] * cH_row[l])
 
     na2 = float(np.vdot(a, a).real)
     cond = 1.0 + g * na2
@@ -127,7 +152,7 @@ def metric_matrix_jet(f: HoloMap, z) -> MetricDerivatives:
         raise SolveFailure(
             f"metric conditioning {cond:.3e} exceeds {COND_LIMIT:.0e} at {jet.point}"
         )
-    Ginv = np.eye(n) - (g / cond) * aa
+    Ginv = _identity(n) - (g / cond) * aa
     return MetricDerivatives(jet.point, G, dG, ddG, Ginv)
 
 

@@ -12,6 +12,11 @@ inside a radius estimated from the chart's tail growth, so
 :func:`stencil_leaf_curvature` checks the closed-form 2-jet path of
 :func:`grauertlab.foliation.leaf_curvature` independently, and
 :func:`mp_leaf_curvature` checks its rounding against 50-digit arithmetic.
+:func:`loop_metric_matrix_jet` and :func:`loop_kahler_tensor` are the plain
+loop forms of the metric blocks and the curvature tensor, with ``np.outer``
+and every product written out inside the loops, and :func:`loop_hsc` is the
+sectional curvature on them: the shipped forms hoist the shared blocks and
+must match them bit for bit.
 """
 
 from __future__ import annotations
@@ -24,11 +29,17 @@ from typing import Callable
 import mpmath as mp
 import numpy as np
 
-from grauertlab.density import DensityJet, gaussian_conformal
-from grauertlab.errors import GrauertError
+from grauertlab.curvature import REAL_RESIDUE_TOL
+from grauertlab.density import DensityJet, gamma_jet, gaussian_conformal
+from grauertlab.errors import GrauertError, SolveFailure
 from grauertlab.foliation import LeafChart, VectorField
 from grauertlab.holomorphic import HoloMap, Polynomial, _as_point, eval_jet, multi_indices
-from grauertlab.metric import metric_eval
+from grauertlab.metric import (
+    COND_LIMIT,
+    MetricDerivatives,
+    _off_divisor_value,
+    metric_eval,
+)
 
 
 #: truncation order of the leaf charts the oracles evaluate away from T = 0
@@ -106,6 +117,66 @@ def mp_jet(f: HoloMap, z, order: int) -> dict:
         return out
 
     return _quotient_jet(f, poly_jet, order)
+
+
+def loop_metric_matrix_jet(f: HoloMap, z) -> MetricDerivatives:
+    """:func:`grauertlab.metric.metric_matrix_jet` with every block built
+    inside the k, l loops."""
+    n = f.n
+    jet = eval_jet(f, z, 2)
+    fz = _off_divisor_value(jet)
+    a = jet.gradient()
+    H = jet.hessian()
+    t = abs(fz) ** 2
+    g, gp, gpp = gamma_jet(t)
+
+    aa = np.outer(a, np.conj(a))
+    G = g * aa + np.eye(n)
+
+    dG = np.empty((n, n, n), dtype=complex)
+    for k in range(n):
+        dG[k] = gp * a[k] * np.conj(fz) * aa + g * np.outer(H[:, k], np.conj(a))
+
+    ddG = np.empty((n, n, n, n), dtype=complex)
+    for k in range(n):
+        for l in range(n):
+            ddG[k, l] = (
+                (gpp * t + gp) * a[k] * np.conj(a[l]) * aa
+                + gp * a[k] * np.conj(fz) * np.outer(a, np.conj(H[:, l]))
+                + gp * fz * np.conj(a[l]) * np.outer(H[:, k], np.conj(a))
+                + g * np.outer(H[:, k], np.conj(H[:, l]))
+            )
+
+    na2 = float(np.vdot(a, a).real)
+    cond = 1.0 + g * na2
+    if cond > COND_LIMIT:
+        raise SolveFailure(
+            f"metric conditioning {cond:.3e} exceeds {COND_LIMIT:.0e} at {jet.point}"
+        )
+    Ginv = np.eye(n) - (g / cond) * aa
+    return MetricDerivatives(jet.point, G, dG, ddG, Ginv)
+
+
+def loop_kahler_tensor(md: MetricDerivatives) -> np.ndarray:
+    """:func:`grauertlab.curvature.kahler_tensor` with both matrix products
+    and the conjugate block formed for every k, l."""
+    n = md.G.shape[0]
+    R = np.empty((n, n, n, n), dtype=complex)
+    for k in range(n):
+        for l in range(n):
+            dbarG = np.conj(md.dG[l]).T
+            R[:, :, k, l] = -md.ddG[k, l] + md.dG[k] @ md.Ginv @ dbarG
+    return R
+
+
+def loop_hsc(f: HoloMap, p, V: np.ndarray) -> float:
+    """:func:`grauertlab.curvature.holo_sectional_curvature` at a nonzero
+    complex direction ``V``, on the loop forms."""
+    R = loop_kahler_tensor(loop_metric_matrix_jet(f, p))
+    num = np.einsum("ijkl,i,j,k,l->", R, V, np.conj(V), V, np.conj(V))
+    if abs(num.imag) > REAL_RESIDUE_TOL * max(1.0, abs(num.real)):
+        raise ArithmeticError(f"sectional numerator not real: {num}")
+    return float(2.0 * num.real / metric_eval(f, p, V) ** 2)
 
 
 def _mp_gamma(t):

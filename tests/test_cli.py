@@ -4,12 +4,16 @@ and the no-partial-artifacts contract."""
 import csv
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import grauertlab
 from grauertlab.cli import main
+from grauertlab.curvature import hsc
 from grauertlab.foliation import VectorField
 from grauertlab.holomorphic import HoloMap
 from grauertlab.verify import SUITES, grid_1d
@@ -226,3 +230,32 @@ def test_verify_matches_reference_report(workdir, suite):
     out = workdir / f"{suite}.json"
     assert main(["verify", "--suite", suite, "--out", str(out)]) == 0
     assert out.read_bytes() == (REFERENCE / f"{suite}.json").read_bytes()
+
+
+def test_negative_coordinates_in_exponent_and_complex_form(workdir):
+    f = str(workdir / "f2.json")
+    outs = []
+    for tok in ("-1e-3", "-0.001"):
+        out = workdir / f"h{tok}.json"
+        assert main(["hsc", "--f", f, "--p", "2", tok, "--V", "1", "0",
+                     "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    out = workdir / "c.json"
+    assert main(["hsc", "--f", f, "--p", "-1+2j", "-2j", "--V", "-.5", "-1e-3j",
+                 "--out", str(out)]) == 0
+    K = hsc(HoloMap.poly(2, {(1, 1): 1, (0, 0): -1}), (-1 + 2j, -2j), (-0.5, -1e-3j))
+    assert json.load(open(out)) == {"K": K}
+    out = workdir / "m.json"
+    assert main(["metric-eval", "--f", f, "--z", "-1e-3", "-1+2j", "--V", "1", "-2j",
+                 "--out", str(out)]) == 0
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy.stats is imported on the first direction sample, not at import
+    src = Path(grauertlab.__file__).resolve().parent.parent
+    code = "import sys, grauertlab.cli; print('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    r = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                       text=True, timeout=120, check=True)
+    assert r.stdout.strip() == "False"

@@ -16,10 +16,10 @@ from grauertlab.curvature import (
     line_density_jet,
 )
 from grauertlab.density import DensityJet
-from grauertlab.errors import NotCritical, ZeroVector
-from grauertlab.holomorphic import HoloMap, eval_jet
+from grauertlab.errors import GrauertError, NotCritical, ZeroVector
+from grauertlab.holomorphic import HoloMap, Polynomial, eval_jet
 from grauertlab.metric import metric_matrix_jet
-from oracles import wirtinger_fd
+from oracles import loop_hsc, loop_kahler_tensor, loop_metric_matrix_jet, wirtinger_fd
 
 
 def _jet_of(F, z):
@@ -186,3 +186,55 @@ def test_line_density_jet_matches_stencil():
         fd = _jet_of(lambda T: line_density_jet(f, z + T).h, z)
         assert abs(fd.d - j.d) < 1e-5 * max(1.0, abs(j.d))
         assert abs(fd.ddbar - j.ddbar) < 1e-4 * max(1.0, abs(j.ddbar))
+
+
+@st.composite
+def _map_point_direction(draw):
+    """A polynomial or quotient map in n = 1..3 variables, a point, a direction."""
+    n = draw(st.integers(1, 3))
+    cs = st.complex_numbers(
+        min_magnitude=0.1, max_magnitude=3, allow_nan=False, allow_infinity=False
+    )
+
+    def poly(max_exp):
+        exps = draw(st.lists(st.tuples(*([st.integers(0, max_exp)] * n)),
+                             min_size=1, max_size=5, unique=True))
+        return Polynomial(n, {e: draw(cs) for e in exps})
+
+    den = poly(2) + Polynomial.constant(n, 4.0) if draw(st.booleans()) else None
+    f = HoloMap(poly(3), den)
+    vec = st.lists(st.complex_numbers(max_magnitude=1.5, allow_nan=False,
+                                      allow_infinity=False), min_size=n, max_size=n)
+    V = np.array(draw(vec), dtype=complex)
+    if not np.any(V):
+        V[0] = 1.0
+    return f, tuple(draw(vec)), V
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (GrauertError, ArithmeticError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+# draws near the divisor overflow gamma before the conditioning guard raises
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=80, deadline=None)
+@given(_map_point_direction())
+def test_blocks_bit_identical_to_loop_forms(case):
+    # the shipped metric blocks and tensor hoist what the loop forms rebuild
+    # for every k, l; every value must come out the same bits
+    f, p, V = case
+    md = _outcome(lambda: metric_matrix_jet(f, p))
+    ref = _outcome(lambda: loop_metric_matrix_jet(f, p))
+    if isinstance(ref, str):
+        assert md == ref
+        return
+    for name in ("G", "dG", "ddG", "Ginv"):
+        got, want = getattr(md, name), getattr(ref, name)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+    R, R_ref = kahler_tensor(md), loop_kahler_tensor(ref)
+    assert R.shape == R_ref.shape and R.tobytes() == R_ref.tobytes()
+    got, want = _outcome(lambda: hsc(f, p, V)), _outcome(lambda: loop_hsc(f, p, V))
+    assert np.array(got).tobytes() == np.array(want).tobytes()

@@ -1,6 +1,7 @@
 """Tests for polynomial maps, jets, and the Wirtinger stencil oracle."""
 
 import json
+import pickle
 import struct
 
 import numpy as np
@@ -174,3 +175,54 @@ def test_eval_jet_bit_identical_to_symbolic_jet(fz):
         assert [_bits(got[a]) for a in ref] == [_bits(ref[a]) for a in ref]
     assert _bits(f(z)) == _bits(ref[(0,) * f.n])
     assert _bits(f.num(z)) == _bits(symbolic_value(f.num, z))
+
+
+def _jet_outcome(f, p, order):
+    try:
+        return eval_jet(f, p, order).coeffs
+    except DenominatorVanishes as exc:
+        return f"DenominatorVanishes: {exc}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(map_and_point(), st.integers(0, 10 ** 6))
+def test_interleaved_jets_match_fresh_maps(fz, salt):
+    # the jet plans cached on a map serve any point and order in any
+    # sequence: each jet equals, bit for bit, the jet of a freshly built map
+    f, z = fz
+    rng = np.random.default_rng(salt)
+    w = tuple(complex(*rng.normal(size=2)) for _ in range(f.n))
+    for p, order in [(z, 3), (w, 0), (z, 2), (w, 3), (z, 0), (w, 2)]:
+        fresh = HoloMap(
+            Polynomial(f.n, dict(f.num.terms)),
+            None if f.den is None else Polynomial(f.n, dict(f.den.terms)),
+        )
+        got, want = _jet_outcome(f, p, order), _jet_outcome(fresh, p, order)
+        if isinstance(want, str):
+            assert got == want
+            continue
+        assert list(got) == list(want)
+        assert [_bits(got[a]) for a in want] == [_bits(want[a]) for a in want]
+
+
+def test_terms_read_only():
+    p = Polynomial(2, {(1, 2): 1.5 - 0.5j, (0, 0): 2.0, (1, 0): 0.0})
+    with pytest.raises(TypeError):
+        p.terms[(1, 0)] = 1.0
+    with pytest.raises(TypeError):
+        del p.terms[(0, 0)]
+    assert dict(p.terms) == {(1, 2): 1.5 - 0.5j, (0, 0): 2.0}
+    assert list(p.terms) == [(1, 2), (0, 0)]
+    assert p == Polynomial(2, {(0, 0): 2.0, (1, 2): 1.5 - 0.5j})
+    assert p != Polynomial(2, {(0, 0): 2.0})
+    eval_jet(HoloMap(p), (0.5, 0.25j), 2)  # a cached plan does not enter ==
+    assert p == Polynomial(2, {(1, 2): 1.5 - 0.5j, (0, 0): 2.0})
+    assert p.to_json() == {
+        "n": 2,
+        "terms": [{"exp": [0, 0], "re": 2.0, "im": 0.0},
+                  {"exp": [1, 2], "re": 1.5, "im": -0.5}],
+    }
+    assert Polynomial.from_json(p.to_json()) == p
+    assert Polynomial(2, p.terms) == p
+    q = pickle.loads(pickle.dumps(p))
+    assert q == p and list(q.terms) == list(p.terms)
