@@ -7,12 +7,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .density import DensityJet, gamma_jet, gaussian_conformal, pullback_density_jet
+from .density import DensityJet, gaussian_conformal, pullback_density_jet
 from .errors import NotCritical, ZeroVector
 from .holomorphic import HoloMap, _as_point, eval_jet
 from .metric import (
     MetricDerivatives,
     _as_direction,
+    _finite_gamma_jet,
     _off_divisor_value,
     metric_eval,
     metric_matrix_jet,
@@ -30,13 +31,13 @@ def kahler_tensor(md: MetricDerivatives) -> np.ndarray:
     R_{ij.kl.} = -dbar_l d_k G_{ij.} + G^{q.p} (d_k G_{iq.})(dbar_l G_{pj.}).
     """
     n = md.G.shape[0]
-    R = np.empty((n, n, n, n), dtype=complex)
-    dG_Ginv = [md.dG[k] @ md.Ginv for k in range(n)]
     # dbar_l G_{pj.} = conj(d_l G_{jp.})
-    dbarG = [np.conj(md.dG[l]).T for l in range(n)]
-    for k in range(n):
-        for l in range(n):
-            np.add(-md.ddG[k, l], dG_Ginv[k] @ dbarG[l], out=R[:, :, k, l])
+    dbarG = np.conj(md.dG).transpose(0, 2, 1)
+    R = np.empty((n, n, n, n), dtype=complex)
+    # written through a [k, l, i, j] view so R stays C-contiguous in
+    # [i, j, k, l]: the einsum in hsc rounds by memory layout
+    np.add(-md.ddG, (md.dG @ md.Ginv)[:, None] @ dbarG[None, :],
+           out=R.transpose(2, 3, 0, 1))
     return R
 
 
@@ -47,7 +48,7 @@ def holo_sectional_curvature(f: HoloMap, p, V) -> float:
     curvature of the conformal density.
     """
     V = _as_direction(V)
-    if not np.any(V):
+    if not V.any():
         raise ZeroVector("direction V must be nonzero")
     md = metric_matrix_jet(f, p)
     R = kahler_tensor(md)
@@ -124,7 +125,7 @@ def sup_sectional_curvature(
 
     def k_of_real(x: np.ndarray) -> float:
         V = x[:n] + 1j * x[n:]
-        if not np.any(V):
+        if not V.any():
             return -np.inf
         return holo_sectional_curvature(f, p, V)
 
@@ -152,7 +153,7 @@ def critical_point_curvature(f: HoloMap, p: complex) -> float:
         raise NotCritical(
             f"|f'({jet.point[0]})| = {abs(jet.d(0)):.3e} >= {CRITICAL_TOL}"
         )
-    g, _, _ = gamma_jet(abs(_off_divisor_value(jet)) ** 2)
+    _, _, (g,) = _finite_gamma_jet(jet, 0)
     return float(-2.0 * abs(jet.d2(0, 0)) ** 2 * g)
 
 

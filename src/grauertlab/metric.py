@@ -55,17 +55,25 @@ def _as_direction(V) -> np.ndarray:
     return V
 
 
-def _gradient_and_gamma(f: HoloMap, z) -> tuple[np.ndarray, float]:
-    """grad f(z) and gamma(|f(z)|^2) from one 1-jet of f.  Where gamma
-    overflows (for f = z: 1e-140 < |z| < 4.55e-79) z counts as on the divisor.
+def _finite_gamma_jet(jet: Jet, order: int) -> tuple[complex, float, tuple]:
+    """f(p), t = |f(p)|^2 and gamma(t) with its first ``order`` derivatives,
+    from the jet of f at p.  Where any of them overflows (gamma itself for
+    f = z: 1e-140 < |z| < 4.55e-79) p counts as on the divisor, as it does
+    where |f(p)| < DIVISOR_TOL.
     """
-    jet = eval_jet(f, z, 1)
     fz = _off_divisor_value(jet)
-    g, _, _ = gamma_jet(abs(fz) ** 2)
-    if not math.isfinite(g):
-        raise OnDivisor(
-            f"gamma(|f|^2) overflows at {jet.point} (|f| = {abs(fz):.3e})"
-        )
+    t = abs(fz) ** 2
+    gj = gamma_jet(t)[: order + 1]
+    if not all(map(math.isfinite, gj)):
+        what = "gamma(|f|^2)" if order == 0 else f"the {order}-jet of gamma(|f|^2)"
+        raise OnDivisor(f"{what} overflows at {jet.point} (|f| = {abs(fz):.3e})")
+    return fz, t, gj
+
+
+def _gradient_and_gamma(f: HoloMap, z) -> tuple[np.ndarray, float]:
+    """grad f(z) and gamma(|f(z)|^2) from one 1-jet of f."""
+    jet = eval_jet(f, z, 1)
+    _, _, (g,) = _finite_gamma_jet(jet, 0)
     return jet.gradient(), g
 
 
@@ -107,44 +115,31 @@ def metric_matrix_jet(f: HoloMap, z) -> MetricDerivatives:
     """
     n = f.n
     jet = eval_jet(f, z, 2)
-    fz = _off_divisor_value(jet)
+    fz, t, (g, gp, gpp) = _finite_gamma_jet(jet, 2)
     a = jet.gradient()
     H = jet.hessian()
-    t = abs(fz) ** 2
-    g, gp, gpp = gamma_jet(t)
 
-    # np.outer(x, y) is x[:, None] * y[None, :], and H[k] is the column
-    # H[:, k] (H[i, j] and H[j, i] read one partial).  The blocks shared by
-    # the k, l loops are built once; each product keeps its operands and their
-    # order, and small arrays keep their shapes, so every value is the same
-    # bits as with the blocks rebuilt for each k, l (tests/oracles.py).
+    # numpy's complex array loop rounds a product the same way at every length,
+    # stride and broadcast, but a numpy-scalar or Python complex product can
+    # round differently from the same product inside an array.  So the array
+    # products are batched over k, l, while the scalar coefficients stay scalar
+    # chains; every value is the same bits as the loop forms (tests/oracles.py).
+    # H[k] is the column H[:, k] (H[i, j] and H[j, i] read one partial).
     ca, cH, cfz = np.conj(a), np.conj(H), np.conj(fz)
-    a_col, ca_row = a[:, None], ca[None, :]
-    aa = a_col * ca_row
+    aa = a[:, None] * ca[None, :]
     G = g * aa + _identity(n)
 
-    s = [gp * a[k] * cfz for k in range(n)]  # d_k gamma(|f|^2) = gp a_k conj(f)
-    H_col = [H[k][:, None] for k in range(n)]
-    cH_row = [cH[l][None, :] for l in range(n)]
-    Hca = [H_col[k] * ca_row for k in range(n)]
-    acH = [a_col * cH_row[l] for l in range(n)]
-    ca_l = list(ca)
+    s = np.array([gp * a[k] * cfz for k in range(n)])  # d_k gamma = gp a_k conj(f)
     w = gpp * t + gp
-    gpfz_ca = [gp * fz * ca_l[l] for l in range(n)]
+    waa = np.array([[w * a[k] * ca[l] for l in range(n)] for k in range(n)])
+    gpfz_ca = np.array([gp * fz * ca[l] for l in range(n)])
+    Hca = H[:, :, None] * ca[None, None, :]  # Hca[k][i, j] = H[i, k] conj(a_j)
 
-    dG = np.empty((n, n, n), dtype=complex)
-    for k in range(n):
-        dG[k] = s[k] * aa + g * Hca[k]
-
-    ddG = np.empty((n, n, n, n), dtype=complex)
-    for k in range(n):
-        wa = w * a[k]
-        for l in range(n):
-            block = ddG[k, l]
-            np.multiply(wa * ca_l[l], aa, out=block)
-            block += s[k] * acH[l]
-            block += gpfz_ca[l] * Hca[k]
-            block += g * (H_col[k] * cH_row[l])
+    dG = s[:, None, None] * aa[None] + g * Hca
+    ddG = waa[:, :, None, None] * aa[None, None]
+    ddG += s[:, None, None, None] * (a[None, None, :, None] * cH[None, :, None, :])
+    ddG += gpfz_ca[None, :, None, None] * Hca[:, None]
+    ddG += g * (H[:, None, :, None] * cH[None, :, None, :])
 
     na2 = float(np.vdot(a, a).real)
     cond = 1.0 + g * na2

@@ -15,8 +15,8 @@ inside a radius estimated from the chart's tail growth, so
 :func:`loop_metric_matrix_jet` and :func:`loop_kahler_tensor` are the plain
 loop forms of the metric blocks and the curvature tensor, with ``np.outer``
 and every product written out inside the loops, and :func:`loop_hsc` is the
-sectional curvature on them: the shipped forms hoist the shared blocks and
-must match them bit for bit.
+sectional curvature on them: the shipped forms batch the blocks over k, l
+and must match them bit for bit.
 """
 
 from __future__ import annotations
@@ -30,14 +30,14 @@ import mpmath as mp
 import numpy as np
 
 from grauertlab.curvature import REAL_RESIDUE_TOL
-from grauertlab.density import DensityJet, gamma_jet, gaussian_conformal
+from grauertlab.density import DensityJet, gaussian_conformal
 from grauertlab.errors import GrauertError, SolveFailure
 from grauertlab.foliation import LeafChart, VectorField
 from grauertlab.holomorphic import HoloMap, Polynomial, _as_point, eval_jet, multi_indices
 from grauertlab.metric import (
     COND_LIMIT,
     MetricDerivatives,
-    _off_divisor_value,
+    _finite_gamma_jet,
     metric_eval,
 )
 
@@ -124,11 +124,9 @@ def loop_metric_matrix_jet(f: HoloMap, z) -> MetricDerivatives:
     inside the k, l loops."""
     n = f.n
     jet = eval_jet(f, z, 2)
-    fz = _off_divisor_value(jet)
+    fz, t, (g, gp, gpp) = _finite_gamma_jet(jet, 2)
     a = jet.gradient()
     H = jet.hessian()
-    t = abs(fz) ** 2
-    g, gp, gpp = gamma_jet(t)
 
     aa = np.outer(a, np.conj(a))
     G = g * aa + np.eye(n)

@@ -200,6 +200,21 @@ def test_metric_eval_gamma_overflow_exit_2_no_output(workdir, capsys):
     assert "OnDivisor" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_hsc_gamma_overflow_exit_2_no_output(workdir, capsys):
+    # gamma(|f|^2) overflows at p = (1e-100, 0) on f = z1 + z2: exit 2 with
+    # OnDivisor, as metric-eval gives, not a conditioning failure
+    json.dump(HoloMap.poly(2, {(1, 0): 1, (0, 1): 1}).to_json(),
+              open(workdir / "fsum.json", "w"))
+    out = workdir / "k.json"
+    code = main(["hsc", "--f", str(workdir / "fsum.json"), "--p", "1e-100", "0",
+                 "--V", "1", "0", "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+    assert "OnDivisor" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("p", ["inf", "1e200"])
 def test_arithmetic_error_exit_2(workdir, capsys, p):
     # an overflowing point is an input error (exit 2), not a failed check

@@ -16,7 +16,7 @@ from grauertlab.curvature import (
     line_density_jet,
 )
 from grauertlab.density import DensityJet
-from grauertlab.errors import GrauertError, NotCritical, ZeroVector
+from grauertlab.errors import GrauertError, NotCritical, OnDivisor, ZeroVector
 from grauertlab.holomorphic import HoloMap, Polynomial, eval_jet
 from grauertlab.metric import metric_matrix_jet
 from oracles import loop_hsc, loop_kahler_tensor, loop_metric_matrix_jet, wirtinger_fd
@@ -163,6 +163,14 @@ def test_critical_point_guard():
         critical_point_curvature(f, 1.0)
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_critical_point_gamma_overflow_is_on_divisor():
+    # gamma(|f|^2) overflows at |f| = 1e-100: -inf was returned
+    with pytest.raises(OnDivisor):
+        critical_point_curvature(HoloMap.poly(1, {(2,): 1, (0,): 1e-100}), 0.0)
+
+
 def test_line_curvature_nonpositive_random():
     rng = np.random.default_rng(9)
     for _ in range(25):
@@ -238,3 +246,34 @@ def test_blocks_bit_identical_to_loop_forms(case):
     assert R.shape == R_ref.shape and R.tobytes() == R_ref.tobytes()
     got, want = _outcome(lambda: hsc(f, p, V)), _outcome(lambda: loop_hsc(f, p, V))
     assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def _complex(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def test_complex_array_products_round_alike_when_batched():
+    # metric_matrix_jet batches its array products over k and l.  That keeps
+    # every bit of the loop forms only while numpy's complex multiply rounds a
+    # product the same way at every array length and under broadcasting; on a
+    # CPU or numpy build where it does not, this names the cause of a mismatch
+    # in test_blocks_bit_identical_to_loop_forms
+    rng = np.random.default_rng(6)
+    for _ in range(50):
+        a, b = _complex(rng, 16), _complex(rng, 16)
+        ab = a * b
+        for L in range(1, 17):
+            assert (a[:L] * b[:L]).tobytes() == ab[:L].tobytes(), f"length {L}"
+        x, Y = _complex(rng, 3), _complex(rng, 3, 3)
+        xY = x[:, None, None] * Y[None]
+        for k in range(3):
+            assert (x[k] * Y).tobytes() == xY[k].tobytes(), f"broadcast over k = {k}"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_kahler_tensor_is_c_contiguous(n):
+    # hsc's einsum rounds by memory layout, which tobytes() cannot see: R must
+    # stay C-contiguous in [i, j, k, l] like the loop form's
+    f = HoloMap.poly(n, {(1,) * n: 1, (0,) * n: -1, (2,) + (0,) * (n - 1): 0.5})
+    p = tuple(0.7 + 0.2j * i for i in range(n))
+    assert kahler_tensor(metric_matrix_jet(f, p)).flags.c_contiguous

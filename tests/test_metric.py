@@ -182,6 +182,32 @@ def test_gamma_overflow_is_on_divisor():
     assert np.isfinite(metric_det(f, 1e-78))
 
 
+# gamma_jet's overflow warns before the metric rejects the point
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("c", [1e-100, 1e-78])
+def test_metric_jet_gamma_overflow_is_on_divisor(c):
+    # at a critical point of f the conditioning 1 + gamma |grad f|^2 cannot see
+    # an overflowing gamma (c = 1e-100: inf * 0 is NaN) or gamma' (c = 1e-78,
+    # where gamma itself is finite); the blocks would be NaN there
+    f = HoloMap.poly(2, {(2, 0): 1, (0, 0): c})
+    with pytest.raises(OnDivisor):
+        metric_matrix_jet(f, (0, 0))
+    with pytest.raises(OnDivisor):
+        hsc(f, (0, 0), (1, 0))
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_hsc_gamma_overflow_off_critical_point_is_on_divisor():
+    # the same point metric_eval rejects; not a conditioning failure
+    f = HoloMap.poly(2, {(1, 0): 1, (0, 1): 1})
+    with pytest.raises(OnDivisor):
+        metric_eval(f, (1e-100, 0), (1, 0))
+    with pytest.raises(OnDivisor):
+        hsc(f, (1e-100, 0), (1, 0))
+
+
 @pytest.mark.parametrize("V", [(np.nan, 0), (np.inf, 0), (1, complex(0, np.inf))])
 def test_non_finite_direction_rejected(V):
     f = HoloMap.poly(2, {(1, 1): 1, (0, 0): -1})
