@@ -8,11 +8,12 @@ behind the one-variable and leaf curvatures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainOverflow, DomainUnderflow, NonPositiveDensity
+from .errors import DomainOverflow, DomainUnderflow, NonPositiveDensity, OnDivisor
 
 #: representable argument range: t*log^2 t stays inside double precision
 T_MIN = 1e-280
@@ -25,7 +26,7 @@ SERIES_RADIUS = 1e-3
 _SERIES_ORDER = 10
 
 
-def _u_taylor_coeffs(order: int) -> np.ndarray:
+def _u_taylor_coeffs(order: int) -> tuple[float, ...]:
     # u(1+s) = 1 / (1 + sum_{k>=1} c_k s^k) with c_k = (-1)^{k+1}/(k(k+1)),
     # from (1+s)log(1+s)/s; invert the power series by recurrence.
     c = np.zeros(order + 1)
@@ -36,14 +37,20 @@ def _u_taylor_coeffs(order: int) -> np.ndarray:
     a[0] = 1.0
     for m in range(1, order + 1):
         a[m] = -sum(c[k] * a[m - k] for k in range(1, m + 1))
-    return a
+    return tuple(a.tolist())
 
 
 _U_COEFFS = _u_taylor_coeffs(_SERIES_ORDER)
 
+#: Horner rows of u, u' and u'' in s = t - 1, highest power first: the
+#: coefficients k a_k and k (k-1) a_k, each rounded once
+_U_HORNER = tuple(
+    tuple(math.perm(k, m) * a for k, a in enumerate(_U_COEFFS) if k >= m)[::-1]
+    for m in range(3)
+)
 
-@dataclass(frozen=True)
-class UJet:
+
+class UJet(NamedTuple):
     """u(t), u'(t), u''(t) at a positive argument."""
 
     t: float
@@ -61,25 +68,28 @@ def u_jet(t: float) -> UJet:
         raise DomainOverflow(f"t={t} above domain ceiling {T_MAX}")
     s = t - 1.0
     if abs(s) < SERIES_RADIUS:
-        a = _U_COEFFS
-        u = up = upp = 0.0
-        for k in range(len(a) - 1, -1, -1):
-            u = u * s + a[k]
-        for k in range(len(a) - 1, 0, -1):
-            up = up * s + k * a[k]
-        for k in range(len(a) - 1, 1, -1):
-            upp = upp * s + k * (k - 1) * a[k]
-        return UJet(t, u, up, upp)
-    L = np.log(t)
-    D = t * L
-    u = s / D
-    # u stays finite on the whole domain, but u' ~ 1/(t^2 L) and u'' blow up
-    # faster than double precision within ~1e-150 of the edges; saturate to
-    # +-inf there instead of warning (all curvature experiments stay inside)
-    with np.errstate(over="ignore", divide="ignore"):
+        u, up, upp = (_horner(row, s) for row in _U_HORNER)
+    else:
+        # np.log, not math.log: the two differ in the last bit for some t.
+        # The rest is Python float arithmetic, the same IEEE operations as on
+        # numpy scalars; u stays finite on the whole domain, and u' ~ 1/(t^2 L)
+        # and u'' saturate to +-inf within ~1e-150 of the edges, silently
+        # (Python float / and * never raise or warn there)
+        L = float(np.log(t))
+        D = t * L
+        u = s / D
         up = (D - s * (L + 1.0)) / D / D
         upp = -s / t / D / D - 2.0 * (L + 1.0) * up / D
-    return UJet(t, u, up, upp)
+    # numpy scalars, because the consumers square them with **: on Python
+    # floats that raises OverflowError where numpy saturates to inf
+    return UJet(t, np.float64(u), np.float64(up), np.float64(upp))
+
+
+def _horner(row: tuple[float, ...], s: float) -> float:
+    acc = 0.0
+    for c in row:
+        acc = acc * s + c
+    return acc
 
 
 def gamma_jet(t: float) -> tuple[float, float, float]:
@@ -91,8 +101,21 @@ def gamma_jet(t: float) -> tuple[float, float, float]:
     return g, gp, gpp
 
 
-@dataclass(frozen=True)
-class DensityJet:
+def _finite_gamma(fz: complex, order: int, where) -> tuple[float, tuple]:
+    """t = |f(p)|^2 and gamma(t) with its first ``order`` derivatives, from
+    the value ``fz`` of f at the point ``where``.  Where any of them
+    overflows (gamma itself for f = z: 1e-140 < |z| < 4.55e-79) the point
+    counts as on the divisor.
+    """
+    t = abs(fz) ** 2
+    gj = gamma_jet(t)[: order + 1]
+    if not all(map(math.isfinite, gj)):
+        what = "gamma(|f|^2)" if order == 0 else f"the {order}-jet of gamma(|f|^2)"
+        raise OnDivisor(f"{what} overflows at {where} (|f| = {abs(fz):.3e})")
+    return t, gj
+
+
+class DensityJet(NamedTuple):
     """Wirtinger jet of a positive conformal density at a point of C."""
 
     z: complex
@@ -111,7 +134,7 @@ def gaussian_conformal(j: DensityJet) -> float:
 
 
 def pullback_density_jet(z: complex, g0: complex, g1: complex, g2: complex,
-                         chi0, chi1) -> DensityJet:
+                         chi0, chi1, where=None) -> DensityJet:
     """Wirtinger jet of h = gamma(|g|^2) |g'|^2 + |chi|^2 at ``z``.
 
     ``g0, g1, g2`` are a holomorphic function g and its first two
@@ -119,20 +142,22 @@ def pullback_density_jet(z: complex, g0: complex, g1: complex, g2: complex,
     holomorphic vector chi and their first derivatives.  The jet follows
     from the chain rule through gamma; chi = (1) gives the one-variable
     pullback density, chi = the field along a leaf gives the leaf density.
+    Where the 2-jet of gamma(|g0|^2) overflows, OnDivisor names the point
+    ``where`` (default ``z``).
     """
-    t = abs(g0) ** 2
-    g, gp, gpp = gamma_jet(t)
+    t, (g, gp, gpp) = _finite_gamma(g0, 2, z if where is None else where)
     s = abs(g1) ** 2
     h = g * s + float(np.vdot(chi0, chi0).real)
-    d = gp * g1 * np.conj(g0) * s + g * g2 * np.conj(g1) + np.dot(chi1, np.conj(chi0))
+    d = gp * g1 * g0.conjugate() * s + g * g2 * g1.conjugate() + np.dot(chi1, np.conj(chi0))
     ddbar = (
         gpp * t * s**2
         + gp * s**2
-        + 2.0 * (gp * g1**2 * np.conj(g0 * g2)).real
+        + 2.0 * (gp * g1**2 * (g0 * g2).conjugate()).real
         + g * abs(g2) ** 2
         + float(np.vdot(chi1, chi1).real)
     )
-    return DensityJet(complex(z), float(h), complex(d), complex(np.conj(d)), float(ddbar))
+    d = complex(d)
+    return DensityJet(complex(z), float(h), d, d.conjugate(), float(ddbar))
 
 
 def grauert_density_jet(w: complex) -> DensityJet:

@@ -11,6 +11,7 @@ only through :func:`grauertlab.holomorphic.eval_jet`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,8 @@ FIELD_TOL = 1e-10
 #: a leaf curvature whose rounding-error bound exceeds this times
 #: max(1, |K|) is rejected
 LEAF_ROUNDING_TOL = 1e-10
+
+_EPS = np.finfo(float).eps
 
 
 # -- vector fields and leaf charts ------------------------------------------
@@ -87,7 +90,8 @@ def integrate_leaf(X: VectorField, p) -> LeafChart:
     jets = [eval_jet(comp, p, 1) for comp in X.components]
     p = jets[0].point
     c1 = np.array([jet.value for jet in jets])
-    if float(np.linalg.norm(c1)) <= FIELD_TOL:
+    # |X(p)| by the dot products np.linalg.norm runs on a complex vector
+    if math.sqrt(c1.real.dot(c1.real) + c1.imag.dot(c1.imag)) <= FIELD_TOL:
         raise SingularField(f"|X({p})| <= {FIELD_TOL}")
     JX = np.array([jet.gradient() for jet in jets])
     return LeafChart(p, np.array([p, c1, (JX @ c1) / 2]))
@@ -109,7 +113,8 @@ def leaf_density_jet(f: HoloMap, chart: LeafChart) -> DensityJet:
     a, H = jet.gradient(), jet.hessian()
     c = chart.coeffs
     chi1 = 2.0 * c[2]
-    return pullback_density_jet(0j, g0, a @ c[1], c[1] @ H @ c[1] + a @ chi1, c[1], chi1)
+    return pullback_density_jet(0j, g0, a @ c[1], c[1] @ H @ c[1] + a @ chi1, c[1], chi1,
+                                where=chart.base)
 
 
 def leaf_curvature(f: HoloMap, X: VectorField, p) -> float:
@@ -124,8 +129,7 @@ def leaf_curvature(f: HoloMap, X: VectorField, p) -> float:
     chart = integrate_leaf(X, p)
     jet = leaf_density_jet(f, chart)
     K = gaussian_conformal(jet)
-    eps = np.finfo(float).eps
-    bound = 2.0 * eps * (jet.h * abs(jet.ddbar) + abs(jet.d) ** 2) / jet.h**3
+    bound = 2.0 * _EPS * (jet.h * abs(jet.ddbar) + abs(jet.d) ** 2) / jet.h**3
     if bound > LEAF_ROUNDING_TOL * max(1.0, abs(K)):
         raise LeafIllConditioned(
             f"rounding bound {bound:.3e} on leaf curvature {K:.6g} at {chart.base}"

@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -234,9 +234,12 @@ def _leibniz_plan(n: int, order: int) -> tuple:
     return tuple(plan)
 
 
-@dataclass(frozen=True)
-class Jet:
-    """Holomorphic partials d^alpha f(p) for |alpha| <= order."""
+class Jet(NamedTuple):
+    """Holomorphic partials d^alpha f(p) for |alpha| <= order.
+
+    A named tuple, because one is built per evaluation: it builds in about
+    half the time of a frozen dataclass.
+    """
 
     point: tuple[complex, ...]
     order: int

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import T_MIN, gamma_jet
+from .density import T_MIN, _finite_gamma
 from .errors import NonFiniteInput, OnDivisor, SolveFailure
 from .holomorphic import HoloMap, Jet, eval_jet
 
@@ -57,16 +57,11 @@ def _as_direction(V) -> np.ndarray:
 
 def _finite_gamma_jet(jet: Jet, order: int) -> tuple[complex, float, tuple]:
     """f(p), t = |f(p)|^2 and gamma(t) with its first ``order`` derivatives,
-    from the jet of f at p.  Where any of them overflows (gamma itself for
-    f = z: 1e-140 < |z| < 4.55e-79) p counts as on the divisor, as it does
-    where |f(p)| < DIVISOR_TOL.
+    from the jet of f at p; OnDivisor where |f(p)| < DIVISOR_TOL or where
+    `density._finite_gamma` finds an overflow.
     """
     fz = _off_divisor_value(jet)
-    t = abs(fz) ** 2
-    gj = gamma_jet(t)[: order + 1]
-    if not all(map(math.isfinite, gj)):
-        what = "gamma(|f|^2)" if order == 0 else f"the {order}-jet of gamma(|f|^2)"
-        raise OnDivisor(f"{what} overflows at {jet.point} (|f| = {abs(fz):.3e})")
+    t, gj = _finite_gamma(fz, order, jet.point)
     return fz, t, gj
 
 
@@ -88,8 +83,12 @@ def metric_eval(f: HoloMap, z, V) -> float:
 def metric_matrix(f: HoloMap, z) -> np.ndarray:
     """Matrix G(z) of the metric; Hermitian, eigenvalues >= 1."""
     a, g = _gradient_and_gamma(f, z)
-    G = g * np.outer(a, np.conj(a)) + _identity(f.n)
-    return 0.5 * (G + G.conj().T)  # Hermitian by construction
+    # the product np.outer forms, then G = (G + G^*) / 2 in place: the same
+    # element operations as 0.5 * (G + G.conj().T), Hermitian by construction
+    G = g * (a[:, None] * a.conj()[None, :]) + _identity(f.n)
+    G += G.conj().T
+    G *= 0.5
+    return G
 
 
 @dataclass(frozen=True)
@@ -125,7 +124,7 @@ def metric_matrix_jet(f: HoloMap, z) -> MetricDerivatives:
     # products are batched over k, l, while the scalar coefficients stay scalar
     # chains; every value is the same bits as the loop forms (tests/oracles.py).
     # H[k] is the column H[:, k] (H[i, j] and H[j, i] read one partial).
-    ca, cH, cfz = np.conj(a), np.conj(H), np.conj(fz)
+    ca, cH, cfz = np.conj(a), np.conj(H), fz.conjugate()
     aa = a[:, None] * ca[None, :]
     G = g * aa + _identity(n)
 

@@ -16,7 +16,11 @@ inside a radius estimated from the chart's tail growth, so
 loop forms of the metric blocks and the curvature tensor, with ``np.outer``
 and every product written out inside the loops, and :func:`loop_hsc` is the
 sectional curvature on them: the shipped forms batch the blocks over k, l
-and must match them bit for bit.
+and must match them bit for bit.  :func:`errstate_u_jet`,
+:func:`outer_metric_matrix` and :func:`norm_sup_metric_gap` are the numpy
+forms of the profile jet, the metric matrix and the sup metric gap, which
+the shipped forms, free of per-call numpy overhead, must also match bit for
+bit.
 """
 
 from __future__ import annotations
@@ -30,7 +34,15 @@ import mpmath as mp
 import numpy as np
 
 from grauertlab.curvature import REAL_RESIDUE_TOL
-from grauertlab.density import DensityJet, gaussian_conformal
+from grauertlab.density import (
+    SERIES_RADIUS,
+    T_MAX,
+    T_MIN,
+    DensityJet,
+    UJet,
+    gaussian_conformal,
+)
+from grauertlab.divisors import CompactGrid, DivisorFamily, _checked_points
 from grauertlab.errors import GrauertError, SolveFailure
 from grauertlab.foliation import LeafChart, VectorField
 from grauertlab.holomorphic import HoloMap, Polynomial, _as_point, eval_jet, multi_indices
@@ -38,7 +50,10 @@ from grauertlab.metric import (
     COND_LIMIT,
     MetricDerivatives,
     _finite_gamma_jet,
+    _gradient_and_gamma,
+    _identity,
     metric_eval,
+    metric_matrix,
 )
 
 
@@ -175,6 +190,80 @@ def loop_hsc(f: HoloMap, p, V: np.ndarray) -> float:
     if abs(num.imag) > REAL_RESIDUE_TOL * max(1.0, abs(num.real)):
         raise ArithmeticError(f"sectional numerator not real: {num}")
     return float(2.0 * num.real / metric_eval(f, p, V) ** 2)
+
+
+def _errstate_u_coeffs(order: int = 10) -> np.ndarray:
+    # the Taylor coefficients of u about t = 1 as a numpy array, so the
+    # series branch below runs on numpy scalars
+    c = np.zeros(order + 1)
+    c[0] = 1.0
+    for k in range(1, order + 1):
+        c[k] = (-1.0) ** (k + 1) / (k * (k + 1))
+    a = np.zeros(order + 1)
+    a[0] = 1.0
+    for m in range(1, order + 1):
+        a[m] = -sum(c[k] * a[m - k] for k in range(1, m + 1))
+    return a
+
+
+_ERRSTATE_U_COEFFS = _errstate_u_coeffs()
+
+
+def errstate_u_jet(t: float) -> UJet:
+    """:func:`grauertlab.density.u_jet` on numpy scalars, with the overflow
+    of u' and u'' silenced by ``np.errstate``."""
+    t = float(t)
+    s = t - 1.0
+    if abs(s) < SERIES_RADIUS:
+        a = _ERRSTATE_U_COEFFS
+        u = up = upp = 0.0
+        for k in range(len(a) - 1, -1, -1):
+            u = u * s + a[k]
+        for k in range(len(a) - 1, 0, -1):
+            up = up * s + k * a[k]
+        for k in range(len(a) - 1, 1, -1):
+            upp = upp * s + k * (k - 1) * a[k]
+        return UJet(t, u, up, upp)
+    L = np.log(t)
+    D = t * L
+    u = s / D
+    with np.errstate(over="ignore", divide="ignore"):
+        up = (D - s * (L + 1.0)) / D / D
+        upp = -s / t / D / D - 2.0 * (L + 1.0) * up / D
+    return UJet(t, u, up, upp)
+
+
+def profile_sweep(strata: int = 4000, seed: int = 0) -> list[float]:
+    """t over [T_MIN, T_MAX]: one seeded point in each of ``strata`` equal
+    slices of log10 t, 1000 on the seam |t - 1| <= 2 SERIES_RADIUS, both
+    ends, t = 1 and the neighbours of the series radius."""
+    rng = np.random.default_rng(seed)
+    lo, hi = math.log10(T_MIN), math.log10(T_MAX)
+    edges = np.linspace(lo, hi, strata + 1)
+    ts = [float(10.0 ** rng.uniform(a, b)) for a, b in zip(edges[:-1], edges[1:])]
+    ts += [float(1.0 + x) for x in rng.uniform(-2 * SERIES_RADIUS, 2 * SERIES_RADIUS, 1000)]
+    for r in (1.0 - SERIES_RADIUS, 1.0 + SERIES_RADIUS):
+        ts += [float(np.nextafter(r, 0.0)), r, float(np.nextafter(r, 2.0))]
+    return ts + [T_MIN, T_MAX, 1.0]
+
+
+def outer_metric_matrix(f: HoloMap, z) -> np.ndarray:
+    """:func:`grauertlab.metric.metric_matrix` with ``np.outer`` and an
+    out-of-place symmetrization."""
+    a, g = _gradient_and_gamma(f, z)
+    G = g * np.outer(a, np.conj(a)) + _identity(f.n)
+    return 0.5 * (G + G.conj().T)
+
+
+def norm_sup_metric_gap(fam: DivisorFamily, grid: CompactGrid, j: int) -> float:
+    """:func:`grauertlab.divisors.sup_metric_gap` through
+    ``np.linalg.norm(diff, 2)``."""
+    pts, fj = _checked_points(fam, grid, j)
+    gap = 0.0
+    for p in pts:
+        diff = metric_matrix(fj, p) - metric_matrix(fam.f0, p)
+        gap = max(gap, float(np.linalg.norm(diff, 2)))
+    return gap
 
 
 def _mp_gamma(t):

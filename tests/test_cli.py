@@ -215,6 +215,23 @@ def test_hsc_gamma_overflow_exit_2_no_output(workdir, capsys):
     assert "OnDivisor" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("p", ["1e-40", "1e-60"])
+def test_leaf_curvature_gamma_overflow_exit_2_no_output(workdir, capsys, p):
+    # f = z: gamma's 2-jet overflows; "K": -Infinity was written at 1e-40 and
+    # a raw OverflowError escaped at 1e-60
+    json.dump(HoloMap.poly(1, {(1,): 1}).to_json(), open(workdir / "fz.json", "w"))
+    out = workdir / "K.json"
+    code = main(["leaf-curvature", "--f", str(workdir / "fz.json"),
+                 "--X", str(workdir / "X1.json"), "--p", p, "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "OnDivisor" in captured.err
+
+
 @pytest.mark.parametrize("p", ["inf", "1e200"])
 def test_arithmetic_error_exit_2(workdir, capsys, p):
     # an overflowing point is an input error (exit 2), not a failed check

@@ -2,6 +2,9 @@
 closed-form curvatures, cross-checked against high-precision and
 finite-difference oracles."""
 
+import math
+import warnings
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -19,7 +22,7 @@ from grauertlab.density import (
     u_jet,
 )
 from grauertlab.errors import DomainOverflow, DomainUnderflow
-from oracles import wirtinger_fd
+from oracles import errstate_u_jet, profile_sweep, wirtinger_fd
 
 
 def kg_oracle(t, dps=50):
@@ -75,6 +78,34 @@ def test_u_domain_clamp():
     # boundary values are inside the domain and u itself stays finite
     assert np.isfinite(u_jet(T_MIN).u)
     assert np.isfinite(u_jet(T_MAX).u)
+
+
+def test_u_jet_bit_identical_to_errstate_form():
+    # u_jet computes on Python floats with no np.errstate; every value must
+    # keep the bits and the np.float64 type of the numpy-scalar form
+    for t in profile_sweep():
+        got, ref = u_jet(t), errstate_u_jet(t)
+        assert type(got.t) is float and got.t == ref.t
+        for x, y in zip((got.u, got.up, got.upp), (ref.u, ref.up, ref.upp)):
+            assert type(x) is np.float64 and type(y) is np.float64, t
+            assert x.tobytes() == y.tobytes(), t
+
+
+def test_u_jet_raises_no_warning():
+    # u' and u'' saturate to +-inf near both ends without a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in profile_sweep():
+            u_jet(t)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_gamma_jet_saturates_where_u_prime_squared_overflows():
+    # u' is about -5.4e157 at t = 1e-80: on numpy scalars up**2 saturates to
+    # inf, where a Python float would raise OverflowError
+    g, gp, gpp = gamma_jet(1e-80)
+    assert math.isfinite(g)
+    assert gpp == math.inf
 
 
 def test_gamma_jet_derivatives():

@@ -16,6 +16,7 @@ from grauertlab.errors import GridTouchesDivisor, UnitVanishes
 from grauertlab.foliation import VectorField
 from grauertlab.holomorphic import HoloMap, Polynomial
 from grauertlab.verify import family_1d, family_2d, grid_1d, grid_2d
+from oracles import norm_sup_metric_gap
 
 
 def constant_family(J=(1, 2, 4)):
@@ -139,3 +140,13 @@ def test_family_json_round_trip():
 def test_n2_canonical_grids_nonempty():
     assert len(grid_2d().points(family_2d().f0)) > 100
     assert len(grid_1d().points(family_1d().f0)) > 100
+
+
+@pytest.mark.parametrize("j", [1, 64])
+@pytest.mark.parametrize("family, grid", [(family_1d, grid_1d), (family_2d, grid_2d)])
+def test_sup_metric_gap_bit_identical_to_norm_form(family, grid, j):
+    # the largest singular value from np.linalg.svd is the value
+    # np.linalg.norm(diff, 2) returns, bit for bit
+    fam, g = family(), grid()
+    got, want = sup_metric_gap(fam, g, j), norm_sup_metric_gap(fam, g, j)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from grauertlab.curvature import hsc, line_curvature
 from grauertlab.density import gaussian_conformal
-from grauertlab.errors import GrauertError, LeafIllConditioned, SingularField
+from grauertlab.errors import GrauertError, LeafIllConditioned, OnDivisor, SingularField
 from grauertlab.foliation import (
     VectorField,
     divisor_approach,
@@ -348,3 +348,21 @@ def test_field_json_round_trip():
     )
     Y = VectorField.from_json(X.to_json())
     assert np.allclose(Y((2.0, 4.0)), X((2.0, 4.0)))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("terms, z", [
+    ({(2,): 1, (0,): 1e-78}, 0.0),  # gamma' overflows at the critical point
+    ({(2,): 1, (0,): 1e-100}, 0.0),  # gamma itself overflows there
+    ({(1,): 1}, 1e-40),
+    ({(1,): 1}, 1e-60),
+])
+def test_gamma_overflow_is_on_divisor_on_line_and_leaf(terms, z):
+    # gamma's 2-jet overflows next to the divisor; the one-variable and leaf
+    # paths returned NaN or -inf, or raised NonPositiveDensity or a raw
+    # OverflowError.  Both share one guard, and the leaf names its base point
+    f = HoloMap.poly(1, terms)
+    with pytest.raises(OnDivisor):
+        line_curvature(f, z)
+    with pytest.raises(OnDivisor, match=r"overflows at \(.*,\)"):
+        leaf_curvature(f, VectorField.constant([1.0]), z)

@@ -5,14 +5,14 @@ import pytest
 
 from grauertlab.curvature import hsc, line_curvature
 from grauertlab.errors import NonFiniteInput, OnDivisor
-from grauertlab.holomorphic import HoloMap
+from grauertlab.holomorphic import HoloMap, Polynomial
 from grauertlab.metric import (
     metric_det,
     metric_eval,
     metric_matrix,
     metric_matrix_jet,
 )
-from oracles import wirtinger_fd
+from oracles import outer_metric_matrix, wirtinger_fd
 
 
 def _rand_map(rng, n=2):
@@ -220,3 +220,20 @@ def test_non_finite_direction_rejected(V):
         metric_eval(f, (1.0, 1.0), V)
     with pytest.raises(NonFiniteInput):
         hsc(f, (1.0, 1.0), V)
+
+
+def test_metric_matrix_bit_identical_to_outer_form():
+    # metric_matrix writes out the broadcast product np.outer forms and
+    # symmetrizes in place; every entry must keep the bits of the np.outer form
+    rng = np.random.default_rng(12)
+    for _ in range(600):
+        n = int(rng.integers(1, 4))
+        exps = {tuple(rng.integers(0, 4, size=n)) for _ in range(rng.integers(1, 6))}
+        num = Polynomial(n, {e: complex(*rng.normal(size=2)) for e in exps})
+        den = None
+        if rng.random() < 0.3:
+            den = Polynomial(n, {(1,) * n: complex(*rng.normal(size=2))}) + Polynomial.constant(n, 4.0)
+        f = HoloMap(num, den)
+        z = tuple(complex(*rng.normal(size=2)) * 10.0 ** rng.uniform(-3, 3) for _ in range(n))
+        got, want = metric_matrix(f, z), outer_metric_matrix(f, z)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
