@@ -13,7 +13,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainOverflow, DomainUnderflow, NonPositiveDensity, OnDivisor
+from .errors import (
+    DomainOverflow,
+    DomainUnderflow,
+    NonFiniteInput,
+    NonPositiveDensity,
+    OnDivisor,
+)
 
 #: representable argument range: t*log^2 t stays inside double precision
 T_MIN = 1e-280
@@ -63,6 +69,8 @@ def u_jet(t: float) -> UJet:
     """Profile jet, Taylor branch near t = 1, closed form elsewhere."""
     t = float(t)
     if not t >= T_MIN:
+        if math.isnan(t):
+            raise NonFiniteInput(f"t={t} is not a number")
         raise DomainUnderflow(f"t={t} below domain floor {T_MIN}")
     if t > T_MAX:
         raise DomainOverflow(f"t={t} above domain ceiling {T_MAX}")
@@ -92,22 +100,42 @@ def _horner(row: tuple[float, ...], s: float) -> float:
     return acc
 
 
+def _sq(x: float) -> float:
+    """x**2 on a Python float, saturating to inf where it overflows."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
+
 def gamma_jet(t: float) -> tuple[float, float, float]:
-    """gamma(t) = 1 + t u^2(t) with first and second derivatives."""
+    """gamma(t) = 1 + t u^2(t) with first and second derivatives.
+
+    Python float arithmetic, with _sq for the squares: the same IEEE
+    operations (** included) as on numpy scalars, without their overflow
+    warnings, which -W error turns into exceptions.  The values are returned
+    as numpy scalars, which keep saturating when a caller cubes them.
+    """
     j = u_jet(t)
-    g = 1.0 + t * j.u**2
-    gp = j.u**2 + 2.0 * t * j.u * j.up
-    gpp = 4.0 * j.u * j.up + 2.0 * t * (j.up**2 + j.u * j.upp)
-    return g, gp, gpp
+    t, u, up, upp = j.t, float(j.u), float(j.up), float(j.upp)
+    u2 = _sq(u)
+    g = 1.0 + t * u2
+    gp = u2 + 2.0 * t * u * up
+    gpp = 4.0 * u * up + 2.0 * t * (_sq(up) + u * upp)
+    return np.float64(g), np.float64(gp), np.float64(gpp)
 
 
 def _finite_gamma(fz: complex, order: int, where) -> tuple[float, tuple]:
     """t = |f(p)|^2 and gamma(t) with its first ``order`` derivatives, from
     the value ``fz`` of f at the point ``where``.  Where any of them
     overflows (gamma itself for f = z: 1e-140 < |z| < 4.55e-79) the point
-    counts as on the divisor.
+    counts as on the divisor; where t itself overflows (|f| > ~1.3e154) it
+    is above the profile's domain.
     """
-    t = abs(fz) ** 2
+    try:
+        t = abs(fz) ** 2
+    except OverflowError:
+        raise DomainOverflow(f"|f|^2 overflows at {where} (|f| = {abs(fz):.3e})") from None
     gj = gamma_jet(t)[: order + 1]
     if not all(map(math.isfinite, gj)):
         what = "gamma(|f|^2)" if order == 0 else f"the {order}-jet of gamma(|f|^2)"

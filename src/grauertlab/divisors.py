@@ -4,11 +4,20 @@ A family is a sequence of defining functions f_j with a declared limit f_0,
 convergence supplied as data (closed-form coefficient paths in 1/j).
 Metric and leaf-curvature gaps are measured as sups over a fixed compact
 grid with an exclusion margin around the limit divisor.
+
+The f_0 side of a gap -- G_0 or the f_0 leaf curvature at every grid point --
+is the same for every j, so a family memoizes it: the first gap call over a
+grid (and, for leaf curvature, a field X) computes it in the point loop, as
+every call did before, and stores it once that whole loop has run; later
+calls for other j read it.  Within a point f_j is evaluated before f_0, and
+an f_0 side that raised is never stored, so every call raises the same first
+exception as a call on a fresh family, and every gap is the same bits.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -31,6 +40,10 @@ class DivisorFamily:
     f0: HoloMap
     member_fn: Callable[[int], HoloMap]
     J: tuple[int, ...]
+    #: the f_0 sides of the gaps, one entry per gap and grid; see the module
+    #: docstring
+    _limit_sides: dict = field(default_factory=dict, init=False, repr=False,
+                               compare=False)
 
     def __post_init__(self):
         if not self.J:
@@ -144,14 +157,55 @@ def _checked_points(fam: DivisorFamily, grid: CompactGrid, j: int):
     return pts, fj
 
 
+def _sides(fam: DivisorFamily, grid: CompactGrid, j: int, side, X=None):
+    """(f_j side, f_0 side) at each grid point, the f_j side computed first.
+
+    The f_0 sides are read from the family's memo when its entry for this
+    ``side`` and grid was computed for this very field ``X`` (a field is not
+    hashable); otherwise they are computed here, and stored once every point
+    has been yielded.
+    """
+    pts, fj = _checked_points(fam, grid, j)
+    # repr, not the grid: equal grids can differ in the sign of a zero bound,
+    # and so in the signs of zero coordinates of their points
+    key = (side, repr(grid))
+    entry = fam._limit_sides.get(key)
+    if entry is not None and entry[0] is X:
+        for p, v0 in zip(pts, entry[1]):
+            yield side(fj, p, X), v0
+        return
+    limit = []
+    for p in pts:
+        vj = side(fj, p, X)
+        limit.append(side(fam.f0, p, X))
+        yield vj, limit[-1]
+    fam._limit_sides[key] = (X, limit)
+
+
+def _metric_side(f: HoloMap, p, X) -> np.ndarray:
+    return metric_matrix(f, p)
+
+
+def _leaf_side(f: HoloMap, p, X: VectorField) -> float:
+    return leaf_curvature(f, X, p)
+
+
+def _op_norm(diff: np.ndarray) -> float:
+    """||diff||_2, the largest singular value: the LAPACK call of
+    np.linalg.norm(diff, 2), or |d| for a finite real 1 x 1 matrix d (the
+    symmetrized diagonal of a metric matrix is exactly real)."""
+    if len(diff) == 1:
+        d = diff[0, 0]
+        if d.imag == 0 and math.isfinite(d.real):
+            return float(abs(d.real))
+    return float(np.linalg.svd(diff, compute_uv=False)[0])
+
+
 def sup_metric_gap(fam: DivisorFamily, grid: CompactGrid, j: int) -> float:
     """sup over the grid of the operator norm ||G_j(z) - G_0(z)||_2."""
-    pts, fj = _checked_points(fam, grid, j)
     gap = 0.0
-    for p in pts:
-        diff = metric_matrix(fj, p) - metric_matrix(fam.f0, p)
-        # the largest singular value: the LAPACK call of np.linalg.norm(diff, 2)
-        gap = max(gap, float(np.linalg.svd(diff, compute_uv=False)[0]))
+    for Gj, G0 in _sides(fam, grid, j, _metric_side):
+        gap = max(gap, _op_norm(Gj - G0))
     return gap
 
 
@@ -159,11 +213,8 @@ def curvature_gap(
     fam: DivisorFamily, X: VectorField, grid: CompactGrid, j: int
 ) -> float:
     """sup over the grid of the leaf-curvature gap of the foliation of X."""
-    pts, fj = _checked_points(fam, grid, j)
     gap = 0.0
-    for p in pts:
-        kj = leaf_curvature(fj, X, p)
-        k0 = leaf_curvature(fam.f0, X, p)
+    for kj, k0 in _sides(fam, grid, j, _leaf_side, X):
         gap = max(gap, abs(kj - k0))
     return gap
 

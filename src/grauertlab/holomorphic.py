@@ -8,6 +8,7 @@ so values and partials come from one evaluation path, :func:`eval_jet`.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
 import math
@@ -17,7 +18,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .errors import DenominatorVanishes, OrderUnsupported
+from .errors import DenominatorVanishes, DomainOverflow, NonFiniteInput, OrderUnsupported
 
 #: hard cap on per-variable exponents; desk experiments stay far below
 DEGREE_CAP = 32
@@ -304,7 +305,13 @@ def _poly_jet(p: Polynomial, z: tuple[complex, ...], order: int) -> dict:
     Each power z_i^k is computed once per call.
     """
     powers, rows = p._plan(order)
-    zk = [z[i] ** k for i, k in powers]
+    try:
+        zk = [z[i] ** k for i, k in powers]
+    except OverflowError:
+        # Python's complex ** raises where a power overflows or meets an inf
+        if not all(map(cmath.isfinite, z)):
+            raise NonFiniteInput(f"point {z} is not finite") from None
+        raise DomainOverflow(f"a power of {z} overflows") from None
     coeffs = {}
     for alpha, terms in rows:
         total = 0j

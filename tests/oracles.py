@@ -17,10 +17,11 @@ loop forms of the metric blocks and the curvature tensor, with ``np.outer``
 and every product written out inside the loops, and :func:`loop_hsc` is the
 sectional curvature on them: the shipped forms batch the blocks over k, l
 and must match them bit for bit.  :func:`errstate_u_jet`,
-:func:`outer_metric_matrix` and :func:`norm_sup_metric_gap` are the numpy
-forms of the profile jet, the metric matrix and the sup metric gap, which
-the shipped forms, free of per-call numpy overhead, must also match bit for
-bit.
+:func:`numpy_gamma_jet`, :func:`outer_metric_matrix` and
+:func:`norm_sup_metric_gap` are the numpy forms of the profile jet, the
+gamma jet, the metric matrix and the sup metric gap (one fresh f_0 side per
+call, no memo), which the shipped forms, free of per-call numpy overhead,
+must also match bit for bit.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from grauertlab.density import (
     DensityJet,
     UJet,
     gaussian_conformal,
+    u_jet,
 )
 from grauertlab.divisors import CompactGrid, DivisorFamily, _checked_points
 from grauertlab.errors import GrauertError, SolveFailure
@@ -231,6 +233,18 @@ def errstate_u_jet(t: float) -> UJet:
         up = (D - s * (L + 1.0)) / D / D
         upp = -s / t / D / D - 2.0 * (L + 1.0) * up / D
     return UJet(t, u, up, upp)
+
+
+def numpy_gamma_jet(t: float) -> tuple:
+    """:func:`grauertlab.density.gamma_jet` on the numpy scalars of
+    :func:`grauertlab.density.u_jet`, with their overflow and invalid-value
+    warnings silenced by ``np.errstate``."""
+    j = u_jet(t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = 1.0 + t * j.u**2
+        gp = j.u**2 + 2.0 * t * j.u * j.up
+        gpp = 4.0 * j.u * j.up + 2.0 * t * (j.up**2 + j.u * j.upp)
+    return g, gp, gpp
 
 
 def profile_sweep(strata: int = 4000, seed: int = 0) -> list[float]:

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 import grauertlab
-from grauertlab.cli import main
+from grauertlab.cli import FLOAT_FMT, main
 from grauertlab.curvature import hsc
+from grauertlab.divisors import DivisorFamily, curvature_gap, sup_metric_gap
 from grauertlab.foliation import VectorField
 from grauertlab.holomorphic import HoloMap
 from grauertlab.verify import SUITES, grid_1d
@@ -135,6 +136,32 @@ def test_converge_metric_csv(workdir):
     assert float(rows[0]["delta"]) == 0.4
 
 
+@pytest.mark.parametrize("command", ["converge-metric", "converge-curvature"])
+def test_converge_rows_match_fresh_family_gaps(workdir, command):
+    # one family object serves every j of the CLI loop, so later j read the
+    # f_0 side memoized by the first; each row must still hold the bits of
+    # the gap measured on a fresh family
+    fam_json = json.load(open(workdir / "fam1.json"))
+    fam_json["J"] = [1, 2, 4, 8, 16, 64]
+    json.dump(fam_json, open(workdir / "fam6.json", "w"))
+    out = workdir / "c.csv"
+    argv = [command, "--family", str(workdir / "fam6.json"),
+            "--grid", str(workdir / "grid1.json"), "--out", str(out)]
+    if command == "converge-curvature":
+        argv += ["--X", str(workdir / "X1.json")]
+    assert main(argv) == 0
+    grid, X = grid_1d(), VectorField.constant([1.0])
+    gaps = []
+    for j in fam_json["J"]:
+        fam = DivisorFamily.from_json(fam_json)
+        gaps.append(sup_metric_gap(fam, grid, j) if command == "converge-metric"
+                    else curvature_gap(fam, X, grid, j))
+    rows = _rows(out)
+    assert [r["j"] for r in rows] == [str(j) for j in fam_json["J"]]
+    assert [r["gap"] for r in rows] == [FLOAT_FMT % gap for gap in gaps]
+    assert [float(r["gap"]) for r in rows] == gaps  # %.17g round-trips
+
+
 def test_liminf_report(workdir):
     deep = json.load(open(workdir / "fam1.json"))
     deep["J"] = [10_000_000, 100_000_000]
@@ -215,8 +242,6 @@ def test_hsc_gamma_overflow_exit_2_no_output(workdir, capsys):
     assert "OnDivisor" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("p", ["1e-40", "1e-60"])
 def test_leaf_curvature_gamma_overflow_exit_2_no_output(workdir, capsys, p):
     # f = z: gamma's 2-jet overflows; "K": -Infinity was written at 1e-40 and
@@ -232,13 +257,34 @@ def test_leaf_curvature_gamma_overflow_exit_2_no_output(workdir, capsys, p):
     assert "OnDivisor" in captured.err
 
 
+@pytest.mark.parametrize("p", ["1e-40", "1e-80", "1e-120"])
+def test_leaf_curvature_gamma_overflow_exit_2_under_warning_error(workdir, p):
+    # no outcome depends on the warning filter: under -W error the overflowing
+    # gamma jet still gives OnDivisor and exit 2, not a RuntimeWarning
+    # traceback and exit 1
+    json.dump(HoloMap.poly(1, {(1,): 1}).to_json(), open(workdir / "fz.json", "w"))
+    out = workdir / "K.json"
+    src = Path(grauertlab.__file__).resolve().parent.parent
+    code = "import sys; from grauertlab.cli import main; sys.exit(main(sys.argv[1:]))"
+    argv = ["leaf-curvature", "--f", str(workdir / "fz.json"),
+            "--X", str(workdir / "X1.json"), "--p", p, "--out", str(out)]
+    r = subprocess.run([sys.executable, "-W", "error", "-c", code, *argv],
+                       env={**os.environ, "PYTHONPATH": str(src)},
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 2, r.stderr
+    assert r.stdout == "" and not out.exists()
+    assert r.stderr.startswith("error: OnDivisor: ")
+
+
 @pytest.mark.parametrize("p", ["inf", "1e200"])
 def test_arithmetic_error_exit_2(workdir, capsys, p):
-    # an overflowing point is an input error (exit 2), not a failed check
+    # an overflowing point is an input error (exit 2), not a failed check,
+    # and reaches the CLI as a GrauertError, not a raw OverflowError
+    error = {"inf": "NonFiniteInput", "1e200": "DomainOverflow"}[p]
     code = main(["hsc", "--f", str(workdir / "f2.json"), "--p", p, "1",
                  "--V", "1", "0"])
     assert code == 2
-    assert "error: OverflowError: " in capsys.readouterr().err
+    assert f"error: {error}: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

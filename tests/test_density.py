@@ -21,8 +21,8 @@ from grauertlab.density import (
     power_curvature,
     u_jet,
 )
-from grauertlab.errors import DomainOverflow, DomainUnderflow
-from oracles import errstate_u_jet, profile_sweep, wirtinger_fd
+from grauertlab.errors import DomainOverflow, DomainUnderflow, NonFiniteInput
+from oracles import errstate_u_jet, numpy_gamma_jet, profile_sweep, wirtinger_fd
 
 
 def kg_oracle(t, dps=50):
@@ -97,6 +97,38 @@ def test_u_jet_raises_no_warning():
         warnings.simplefilter("error")
         for t in profile_sweep():
             u_jet(t)
+
+
+def test_u_jet_nan_is_non_finite_input():
+    with pytest.raises(NonFiniteInput):
+        u_jet(float("nan"))
+
+
+def _gamma_sweep() -> list[float]:
+    # profile_sweep plus 20,000 log-uniform t over the whole domain
+    rng = np.random.default_rng(13)
+    lo, hi = math.log10(T_MIN), math.log10(T_MAX)
+    return profile_sweep() + [float(10.0**x) for x in rng.uniform(lo, hi, 20_000)]
+
+
+def test_gamma_jet_bit_identical_to_numpy_form():
+    # gamma_jet computes on Python floats; every value, non-finite ones
+    # included, must keep the bits and the np.float64 type of the
+    # numpy-scalar form
+    for t in _gamma_sweep():
+        for x, y in zip(gamma_jet(t), numpy_gamma_jet(t)):
+            assert type(x) is np.float64 and type(y) is np.float64, t
+            assert x.tobytes() == y.tobytes(), t
+
+
+def test_gamma_jet_raises_no_warning():
+    # the squares saturate to inf without a RuntimeWarning, so an error
+    # filter cannot turn an overflowing jet into an exception
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in profile_sweep():
+            gamma_jet(t)
+        assert gamma_jet(1e-80)[2] == math.inf
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from grauertlab.curvature import hsc, line_curvature
-from grauertlab.errors import NonFiniteInput, OnDivisor
-from grauertlab.holomorphic import HoloMap, Polynomial
+from grauertlab.errors import DomainOverflow, NonFiniteInput, OnDivisor
+from grauertlab.holomorphic import HoloMap, Polynomial, eval_jet
 from grauertlab.metric import (
     metric_det,
     metric_eval,
@@ -220,6 +220,26 @@ def test_non_finite_direction_rejected(V):
         metric_eval(f, (1.0, 1.0), V)
     with pytest.raises(NonFiniteInput):
         hsc(f, (1.0, 1.0), V)
+
+
+_Z = HoloMap.poly(1, {(1,): 1})
+_Z2_PLUS_1 = HoloMap.poly(1, {(2,): 1, (0,): 1})
+_Z1Z2_MINUS_1 = HoloMap.poly(2, {(1, 1): 1, (0, 0): -1})
+
+
+@pytest.mark.parametrize("call, error", [
+    # z**2 overflows in the jet's powers
+    (lambda: eval_jet(_Z2_PLUS_1, 1e200, 2), DomainOverflow),
+    # a power of an infinite coordinate
+    (lambda: metric_eval(_Z, np.inf, 1), NonFiniteInput),
+    (lambda: metric_matrix(_Z, complex(1, np.inf)), NonFiniteInput),
+    # |f(p)|^2 overflows for |f(p)| = 1e160
+    (lambda: hsc(_Z1Z2_MINUS_1, (1e160, 1), (1, 1)), DomainOverflow),
+    (lambda: metric_eval(_Z1Z2_MINUS_1, (1e160, 1), (1, 1)), DomainOverflow),
+])
+def test_no_raw_overflow_error_on_the_point_path(call, error):
+    with pytest.raises(error):
+        call()
 
 
 def test_metric_matrix_bit_identical_to_outer_form():
