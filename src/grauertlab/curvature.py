@@ -45,13 +45,23 @@ def holo_sectional_curvature(f: HoloMap, p, V) -> float:
     """Holomorphic sectional curvature K(p, V) = 2 R(V,V.,V,V.) / phi(p,V)^2.
 
     Scale-invariant in V; normalized so the n = 1 value is the Gaussian
-    curvature of the conformal density.
+    curvature of the conformal density.  Repeated calls at one point, as in
+    :func:`sup_sectional_curvature`, reuse the point's metric record and
+    curvature tensor.
     """
     V = _as_direction(V)
     if not V.any():
         raise ZeroVector("direction V must be nonzero")
     md = metric_matrix_jet(f, p)
-    R = kahler_tensor(md)
+    # the tensor of the record metric_matrix_jet memoized, reused only while
+    # that record is the very object returned
+    entry = f._memo.get("R")
+    if entry is not None and entry[0] is md:
+        R = entry[1]
+    else:
+        R = kahler_tensor(md)
+        R.setflags(write=False)
+        f._memo["R"] = (md, R)
     num = np.einsum("ijkl,i,j,k,l->", R, V, np.conj(V), V, np.conj(V))
     if abs(num.imag) > REAL_RESIDUE_TOL * max(1.0, abs(num.real)):
         raise ArithmeticError(f"sectional numerator not real: {num}")

@@ -229,17 +229,28 @@ def hk_density_jet(k: int, z: complex) -> DensityJet:
 
 
 def m_factor(t: float) -> float:
-    """Numerator factor of the Grauert curvature as a function of t = |z|^2."""
+    """Numerator factor of the Grauert curvature as a function of t = |z|^2.
+
+    DomainOverflow where t**3 overflows a Python float (t >~ 5.6e102, so
+    |z| >~ 2.38e51), checked before the numpy terms can warn.
+    """
+    try:
+        t2, t3 = t**2, t**3
+    except OverflowError:
+        raise DomainOverflow(
+            f"M(t) overflows at t = {t!r} (|z| = {math.sqrt(t):.3e}) in its t-domain"
+            " form; a log-domain form of the profile would lift this limit"
+        ) from None
     j = u_jet(t)
     u, up, upp = j.u, j.up, j.upp
     return (
         u**2
         + 6.0 * t * u * up
-        + 2.0 * t**2 * up**2
-        + 2.0 * t**2 * u * upp
-        + 2.0 * t**2 * u**3 * up
-        - 2.0 * t**3 * u**2 * up**2
-        + 2.0 * t**3 * u**3 * upp
+        + 2.0 * t2 * up**2
+        + 2.0 * t2 * u * upp
+        + 2.0 * t2 * u**3 * up
+        - 2.0 * t3 * u**2 * up**2
+        + 2.0 * t3 * u**3 * upp
     )
 
 
@@ -247,6 +258,7 @@ def grauert_curvature(z: complex) -> float:
     """Gaussian curvature of the Grauert metric: -2 M(|z|^2) / gamma^3.
 
     Non-positive on all of C*; tends to -4 as z -> 0 and to 0 as |z| -> oo.
+    DomainOverflow from |z| ~ 2.38e51, where M(t) overflows (see m_factor).
     """
     z = complex(z)
     if z == 0:

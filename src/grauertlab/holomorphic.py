@@ -145,10 +145,14 @@ class HoloMap:
 
     Quotient denominators must not vanish at queried points; this is checked
     at every evaluation and raises :class:`DenominatorVanishes` otherwise.
+    ``_memo`` holds the metric's point-only blocks at the last point each
+    kind was built for (see :mod:`grauertlab.metric`); equality, hashing
+    and ``repr`` ignore it.
     """
 
     num: Polynomial
     den: Polynomial | None = None
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.den is not None and self.den.n != self.num.n:

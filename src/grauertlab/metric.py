@@ -8,6 +8,16 @@ of f and the profile jet of u.
 Convention: phi(V) = V^T G conj(V) = sum_ik G[i, k] V_i conj(V_k), so
 G[i, k] pairs with V_i conj(V_k).  In this convention V^* G V is the
 quadratic form of G^T, not phi(V).
+
+A map keeps the point-only blocks of the last point it was evaluated at,
+one entry per kind in ``HoloMap._memo``: the gradient and gamma of the
+1-jet (``"ag"``), the :class:`MetricDerivatives` (``"md"``) and, in
+:func:`grauertlab.curvature.hsc`, the curvature tensor of that record.  The
+key is the exact IEEE bits of the evaluated point, so -0.0 and 0.0 are
+different points; a hit returns the very objects the miss built, held
+read-only.  Each function still evaluates its jet first, so a point that
+raises keeps raising, and an error stores nothing.  The memo assumes one
+thread per map, as the library is single-threaded.
 """
 
 from __future__ import annotations
@@ -39,6 +49,20 @@ def _identity(n: int) -> np.ndarray:
     return eye
 
 
+def _point_key(point: tuple[complex, ...]) -> bytes:
+    """The exact IEEE bits of ``point``, the memo key: unlike complex ==,
+    it tells -0.0 from 0.0 and matches a NaN coordinate to its own bits."""
+    return np.array(point, dtype=complex).tobytes()
+
+
+def _recall(f: HoloMap, kind: str, key: bytes):
+    """The memo entry of ``kind`` built at the point with bits ``key``, or None."""
+    entry = f._memo.get(kind)
+    if entry is not None and entry[0] == key:
+        return entry[1]
+    return None
+
+
 def _off_divisor_value(jet: Jet) -> complex:
     """The value f(p) held by ``jet``; OnDivisor when |f(p)| < DIVISOR_TOL."""
     v = jet.value
@@ -66,10 +90,18 @@ def _finite_gamma_jet(jet: Jet, order: int) -> tuple[complex, float, tuple]:
 
 
 def _gradient_and_gamma(f: HoloMap, z) -> tuple[np.ndarray, float]:
-    """grad f(z) and gamma(|f(z)|^2) from one 1-jet of f."""
+    """grad f(z), read-only, and gamma(|f(z)|^2) from one 1-jet of f;
+    memoized per map at its last point."""
     jet = eval_jet(f, z, 1)
+    key = _point_key(jet.point)
+    hit = _recall(f, "ag", key)
+    if hit is not None:
+        return hit
     _, _, (g,) = _finite_gamma_jet(jet, 0)
-    return jet.gradient(), g
+    a = jet.gradient()
+    a.setflags(write=False)
+    f._memo["ag"] = (key, (a, g))
+    return a, g
 
 
 def metric_eval(f: HoloMap, z, V) -> float:
@@ -110,10 +142,15 @@ def metric_matrix_jet(f: HoloMap, z) -> MetricDerivatives:
     """Exact analytic derivative blocks of the metric matrix at ``z``.
 
     The inverse uses the Sherman-Morrison rank-one form; its condition
-    number 1 + gamma |grad f|^2 must stay below the guard.
+    number 1 + gamma |grad f|^2 must stay below the guard.  The blocks are
+    read-only: the record is memoized per map at its last point.
     """
     n = f.n
     jet = eval_jet(f, z, 2)
+    key = _point_key(jet.point)
+    md = _recall(f, "md", key)
+    if md is not None:
+        return md
     fz, t, (g, gp, gpp) = _finite_gamma_jet(jet, 2)
     a = jet.gradient()
     H = jet.hessian()
@@ -147,7 +184,11 @@ def metric_matrix_jet(f: HoloMap, z) -> MetricDerivatives:
             f"metric conditioning {cond:.3e} exceeds {COND_LIMIT:.0e} at {jet.point}"
         )
     Ginv = _identity(n) - (g / cond) * aa
-    return MetricDerivatives(jet.point, G, dG, ddG, Ginv)
+    for block in (G, dG, ddG, Ginv):
+        block.setflags(write=False)
+    md = MetricDerivatives(jet.point, G, dG, ddG, Ginv)
+    f._memo["md"] = (key, md)
+    return md
 
 
 def metric_det(f: HoloMap, z) -> float:

@@ -62,6 +62,22 @@ from grauertlab.metric import (
 #: truncation order of the leaf charts the oracles evaluate away from T = 0
 CHART_ORDER = 16
 
+#: maps with two points p, q off the divisor and a direction V, for the
+#: per-map memo tests: an n = 1 polynomial, z1 z2 - 1, and the quotient map
+#: and n = 3 polynomial of the direction-sweep benchmark workload
+MEMO_CASES = {
+    "poly1": (HoloMap.poly(1, {(2,): 1, (1,): 0.3 - 0.2j, (0,): -1}),
+              (0.7 + 0.3j,), (-0.4 + 0.9j,), (1.0,)),
+    "poly2": (HoloMap.poly(2, {(1, 1): 1, (0, 0): -1}),
+              (0.7 + 0.3j, 0.5 + 0.6j), (-0.4 + 0.9j, -0.4 + 0.4j), (1.0, 0.5j)),
+    "quot2": (HoloMap(Polynomial(2, {(1, 1): 1, (2, 0): 0.5, (0, 0): -1}),
+                      Polynomial(2, {(0, 1): 1, (0, 0): 2.5})),
+              (0.7 + 0.3j, 0.5 + 0.6j), (-0.4 + 0.9j, -0.4 + 0.4j), (1.0, 0.5j)),
+    "poly3": (HoloMap.poly(3, {(1, 1, 0): 1, (0, 1, 1): 1, (0, 0, 2): 1, (0, 0, 0): -1}),
+              (0.7 + 0.3j, 0.5 + 0.6j, 0.3 + 0.9j), (-0.4 + 0.9j, -0.4 + 0.4j, -0.4 - 0.1j),
+              (1.0, 0.5j, -0.25)),
+}
+
 
 def symbolic_value(p: Polynomial, z) -> complex:
     """p(z) by the monomial loop, terms in order."""

@@ -85,6 +85,15 @@ def test_kg_grid_round_trip(workdir):
         assert float(r["Kg"]) == grauert_curvature(z)
 
 
+def test_kg_grid_overflow_exit_2_no_output(workdir, capsys):
+    # above |z| ~ 2.38e51 the t-domain M(t) overflows: DomainOverflow, exit 2
+    out = workdir / "kg.csv"
+    assert main(["kg-grid", "--rmin", "1e52", "--rmax", "1e60", "--angles", "2",
+                 "--radii", "3", "--out", str(out)]) == 2
+    assert "error: DomainOverflow: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_determinism_byte_identical(workdir):
     a, b = workdir / "a.csv", workdir / "b.csv"
     args = ["kg-grid", "--rmin", "0.5", "--rmax", "2", "--angles", "8"]

@@ -195,6 +195,26 @@ def test_m_factor_at_one():
     assert abs(m_factor(1.0) - 1.0 / 3.0) < 1e-13
 
 
+@pytest.mark.parametrize("flt", ["default", "error"])
+@pytest.mark.parametrize("r", [2.4e51, 1e60, 1e77, 1e139])
+def test_kg_overflow_is_domain_overflow(r, flt):
+    # t**3 in M(t) overflows a Python float from |z| ~ 2.38e51: a declared
+    # DomainOverflow under either warning filter, not a raw OverflowError
+    # (or, under -W error, a RuntimeWarning from M's numpy terms, which at
+    # |z| = 1e77 turn inf - inf into NaN before t**3 is reached)
+    with warnings.catch_warnings():
+        warnings.simplefilter(flt)
+        with pytest.raises(DomainOverflow, match="log-domain form"):
+            grauert_curvature(r * np.exp(0.3j))
+        with pytest.raises(DomainOverflow):
+            m_factor(r**2)
+
+
+def test_kg_below_overflow_stays_a_value():
+    # the error path moved, not the threshold: just below it K_g is a value
+    assert -1e-200 < grauert_curvature(2.0e51) < 0.0
+
+
 def test_kg_against_high_precision_oracle():
     for t in (1e-8, 1e-3, 0.5, 1.0, 2.0, 50.0, 1e6):
         z = np.sqrt(t)

@@ -1,5 +1,7 @@
 """Tests for the pullback metric field and its derivative blocks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,12 +9,13 @@ from grauertlab.curvature import hsc, line_curvature
 from grauertlab.errors import DomainOverflow, NonFiniteInput, OnDivisor
 from grauertlab.holomorphic import HoloMap, Polynomial, eval_jet
 from grauertlab.metric import (
+    MetricDerivatives,
     metric_det,
     metric_eval,
     metric_matrix,
     metric_matrix_jet,
 )
-from oracles import outer_metric_matrix, wirtinger_fd
+from oracles import MEMO_CASES, outer_metric_matrix, wirtinger_fd
 
 
 def _rand_map(rng, n=2):
@@ -257,3 +260,125 @@ def test_metric_matrix_bit_identical_to_outer_form():
         z = tuple(complex(*rng.normal(size=2)) * 10.0 ** rng.uniform(-3, 3) for _ in range(n))
         got, want = metric_matrix(f, z), outer_metric_matrix(f, z)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# -- the per-map memo of the last point's blocks ---------------------------------
+
+_BLOCKS = ("G", "dG", "ddG", "Ginv")
+
+#: the memoized entry points, each as (map, point, direction) -> result
+_MEMO_CALLS = {
+    "hsc": lambda f, p, V: hsc(f, p, V),
+    "metric_eval": lambda f, p, V: metric_eval(f, p, V),
+    "metric_det": lambda f, p, V: metric_det(f, p),
+    "metric_matrix_jet": lambda f, p, V: metric_matrix_jet(f, p),
+}
+
+
+def _bits(result):
+    """A result as bytes and hex strings: equal exactly when every bit is."""
+    if isinstance(result, MetricDerivatives):
+        return (np.array(result.z).tobytes(),
+                *(getattr(result, b).tobytes() for b in _BLOCKS))
+    return float.hex(result)
+
+
+def _fresh(f: HoloMap) -> HoloMap:
+    return HoloMap(f.num, f.den)
+
+
+@pytest.mark.parametrize("call", list(_MEMO_CALLS))
+@pytest.mark.parametrize("case", list(MEMO_CASES))
+def test_memo_hits_keep_the_fresh_bits(case, call):
+    # cold, after every memoized call at another point q, and repeated at p:
+    # the same bits as a fresh map at p
+    f, p, q, V = MEMO_CASES[case]
+    fn = _MEMO_CALLS[call]
+    want = _bits(fn(_fresh(f), p, V))
+    used = _fresh(f)
+    assert _bits(fn(used, p, V)) == want
+    for other in _MEMO_CALLS.values():
+        other(used, q, V)
+    assert _bits(fn(used, p, V)) == want
+    for other in _MEMO_CALLS.values():
+        other(used, p, V)
+    assert _bits(fn(used, p, V)) == want
+    assert _bits(fn(used, p, V)) == want
+
+
+def test_memo_tells_signed_zeros_apart():
+    # -0.0 == 0.0 as complex numbers, but the key is the point's exact bits
+    f = _fresh(MEMO_CASES["poly2"][0])
+    plus, minus = (2.0 + 0.5j, complex(0.0, 1.0)), (2.0 + 0.5j, complex(-0.0, 1.0))
+    assert plus == minus
+    md_plus = metric_matrix_jet(f, plus)
+    md_minus = metric_matrix_jet(f, minus)
+    assert md_minus is not md_plus
+    assert np.copysign(1.0, md_minus.z[1].real) == -1.0
+    assert np.copysign(1.0, md_plus.z[1].real) == 1.0
+    metric_eval(f, plus, (1, 1))
+    entry = f._memo["ag"]
+    metric_eval(f, minus, (1, 1))
+    assert f._memo["ag"] is not entry
+    assert metric_matrix_jet(f, minus) is md_minus
+
+
+@pytest.mark.parametrize("call", list(_MEMO_CALLS))
+def test_memo_stores_no_error(call):
+    # an OnDivisor at q leaves the entry of p in place and stores nothing:
+    # p still gives the fresh bits, and q raises again
+    f, p, _, V = MEMO_CASES["poly2"]
+    on_divisor = (1.0, 1.0)
+    fn = _MEMO_CALLS[call]
+    want = _bits(fn(_fresh(f), p, V))
+    used = _fresh(f)
+    fn(used, p, V)
+    entries = dict(used._memo)
+    with pytest.raises(OnDivisor):
+        fn(used, on_divisor, V)
+    assert used._memo == entries
+    assert _bits(fn(used, p, V)) == want
+    with pytest.raises(OnDivisor):
+        fn(used, on_divisor, V)
+
+
+def test_memo_arrays_are_read_only():
+    f, p, _, V = MEMO_CASES["poly3"]
+    md = metric_matrix_jet(f, p)
+    for b in _BLOCKS:
+        with pytest.raises(ValueError):
+            getattr(md, b)[(0,) * getattr(md, b).ndim] = 0.0
+    metric_eval(f, p, V)
+    a, _ = f._memo["ag"][1]
+    with pytest.raises(ValueError):
+        a[0] = 0.0
+    # metric_matrix builds its own G from the held gradient and may write it
+    G = metric_matrix(f, p)
+    assert G.flags.writeable
+    G[0, 0] = 0.0
+    assert _bits(metric_eval(f, p, V)) == _bits(metric_eval(_fresh(f), p, V))
+
+
+def _hash_outcome(x):
+    # a HoloMap hashes its polynomials, whose read-only terms view does not
+    # hash: the outcome is a TypeError, the same with and without a memo
+    try:
+        return hash(x)
+    except TypeError as exc:
+        return f"TypeError: {exc}"
+
+
+@pytest.mark.parametrize("case", list(MEMO_CASES))
+def test_memo_leaves_equality_hash_and_repr(case):
+    f, p, q, V = MEMO_CASES[case]
+    used, other = _fresh(f), _fresh(f)
+    before = (_hash_outcome(used), repr(used))
+    for fn in _MEMO_CALLS.values():
+        fn(used, p, V)
+    metric_matrix_jet(other, q)
+    assert used._memo and other._memo
+    assert used == other and other == used and used == f
+    assert (_hash_outcome(used), repr(used)) == before
+    assert (_hash_outcome(other), repr(other)) == before
+    assert "_memo" not in repr(used)
+    assert [fd.name for fd in dataclasses.fields(HoloMap) if fd.compare] == ["num", "den"]
