@@ -9,7 +9,6 @@ from .density import (
     gamma_jet,
     gaussian_conformal,
     grauert_curvature,
-    grauert_density_jet,
     hk_density_jet,
     m_factor,
     power_curvature,
@@ -76,7 +75,6 @@ __all__ = [
     "gaussian_conformal",
     "geometric_path",
     "grauert_curvature",
-    "grauert_density_jet",
     "hk_density_jet",
     "holo_sectional_curvature",
     "hsc",

@@ -7,17 +7,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .density import DensityJet, gaussian_conformal, pullback_density_jet
+from .density import DensityJet, _finite_gamma, gaussian_conformal, pullback_density_jet
 from .errors import NotCritical, ZeroVector
 from .holomorphic import HoloMap, _as_point, eval_jet
-from .metric import (
-    MetricDerivatives,
-    _as_direction,
-    _finite_gamma_jet,
-    _off_divisor_value,
-    metric_eval,
-    metric_matrix_jet,
-)
+from .metric import MetricDerivatives, _as_direction, metric_eval, metric_matrix_jet
 
 #: |f'(p)| below this counts as a critical point
 CRITICAL_TOL = 1e-12
@@ -46,22 +39,19 @@ def holo_sectional_curvature(f: HoloMap, p, V) -> float:
 
     Scale-invariant in V; normalized so the n = 1 value is the Gaussian
     curvature of the conformal density.  Repeated calls at one point, as in
-    :func:`sup_sectional_curvature`, reuse the point's metric record and
-    curvature tensor.
+    :func:`sup_sectional_curvature`, reuse the map's record of the point and
+    its curvature tensor.
     """
     V = _as_direction(V)
     if not V.any():
         raise ZeroVector("direction V must be nonzero")
     md = metric_matrix_jet(f, p)
-    # the tensor of the record metric_matrix_jet memoized, reused only while
-    # that record is the very object returned
-    entry = f._memo.get("R")
-    if entry is not None and entry[0] is md:
-        R = entry[1]
-    else:
+    # metric_matrix_jet leaves the map's record at p, so a tensor it holds is md's
+    R = f._memo.get("R")
+    if R is None:
         R = kahler_tensor(md)
         R.setflags(write=False)
-        f._memo["R"] = (md, R)
+        f._memo["R"] = R
     num = np.einsum("ijkl,i,j,k,l->", R, V, np.conj(V), V, np.conj(V))
     if abs(num.imag) > REAL_RESIDUE_TOL * max(1.0, abs(num.real)):
         raise ArithmeticError(f"sectional numerator not real: {num}")
@@ -85,13 +75,14 @@ def _sphere_samples(n: int, samples: int, seed: int) -> np.ndarray:
     return x[:, :n] + 1j * x[:, n:]
 
 
-def _golden_polish(f, x0: np.ndarray, iters: int = 32, window: float = 0.25):
-    """Coordinate-wise golden-section maximization around ``x0``."""
+def _golden_polish(f, x0: np.ndarray):
+    """Coordinate-wise golden-section maximization around ``x0``: 32 steps
+    per coordinate in a window of half-width 0.25."""
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     x = x0.copy()
     best = f(x)
     for c in range(x.size):
-        a, b = x[c] - window, x[c] + window
+        a, b = x[c] - 0.25, x[c] + 0.25
 
         def g(v, c=c):
             y = x.copy()
@@ -103,7 +94,7 @@ def _golden_polish(f, x0: np.ndarray, iters: int = 32, window: float = 0.25):
         u2 = lo + invphi * (hi - lo)
         f1, y1 = g(u1)
         f2, y2 = g(u2)
-        for _ in range(iters):
+        for _ in range(32):
             if f1 < f2:
                 lo, u1, f1 = u1, u2, f2
                 u2 = lo + invphi * (hi - lo)
@@ -163,7 +154,7 @@ def critical_point_curvature(f: HoloMap, p: complex) -> float:
         raise NotCritical(
             f"|f'({jet.point[0]})| = {abs(jet.d(0)):.3e} >= {CRITICAL_TOL}"
         )
-    _, _, (g,) = _finite_gamma_jet(jet, 0)
+    _, (g,) = _finite_gamma(jet.value, 0, jet.point)
     return float(-2.0 * abs(jet.d2(0, 0)) ** 2 * g)
 
 
@@ -174,8 +165,8 @@ def line_density_jet(f: HoloMap, z: complex) -> DensityJet:
     if f.n != 1:
         raise ValueError("line_density_jet expects a one-variable map")
     jet = eval_jet(f, z, 2)
-    f0 = _off_divisor_value(jet)
-    return pullback_density_jet(z, f0, jet.d(0), jet.d2(0, 0), [1.0], [0.0])
+    return pullback_density_jet(z, jet.value, jet.d(0), jet.d2(0, 0), [1.0], [0.0],
+                                where=jet.point)
 
 
 def line_curvature(f: HoloMap, z: complex) -> float:

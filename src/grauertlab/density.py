@@ -25,6 +25,10 @@ from .errors import (
 T_MIN = 1e-280
 T_MAX = 1e280
 
+#: |f(p)| below this counts as "on the divisor": exactly where |f|^2 would
+#: fall below the profile's domain floor T_MIN
+DIVISOR_TOL = math.sqrt(T_MIN)
+
 #: switch to the Taylor branch inside this distance of the removable
 #: singularity at t = 1 (the closed form loses ~8 digits there)
 SERIES_RADIUS = 1e-3
@@ -127,11 +131,13 @@ def gamma_jet(t: float) -> tuple[float, float, float]:
 
 def _finite_gamma(fz: complex, order: int, where) -> tuple[float, tuple]:
     """t = |f(p)|^2 and gamma(t) with its first ``order`` derivatives, from
-    the value ``fz`` of f at the point ``where``.  Where any of them
-    overflows (gamma itself for f = z: 1e-140 < |z| < 4.55e-79) the point
-    counts as on the divisor; where t itself overflows (|f| > ~1.3e154) it
-    is above the profile's domain.
+    the value ``fz`` of f at the point ``where``: the one divisor guard.
+    The point counts as on the divisor where |f(p)| < DIVISOR_TOL or where
+    any of them overflows (gamma itself for f = z: 1e-140 < |z| < 4.55e-79);
+    where t itself overflows (|f| > ~1.3e154) it is above the profile's domain.
     """
+    if abs(fz) < DIVISOR_TOL:
+        raise OnDivisor(f"f vanishes at {where} (|f| = {abs(fz):.3e})")
     try:
         t = abs(fz) ** 2
     except OverflowError:
@@ -170,8 +176,8 @@ def pullback_density_jet(z: complex, g0: complex, g1: complex, g2: complex,
     holomorphic vector chi and their first derivatives.  The jet follows
     from the chain rule through gamma; chi = (1) gives the one-variable
     pullback density, chi = the field along a leaf gives the leaf density.
-    Where the 2-jet of gamma(|g0|^2) overflows, OnDivisor names the point
-    ``where`` (default ``z``).
+    Where :func:`_finite_gamma` puts g0 on the divisor, OnDivisor names the
+    point ``where`` (default ``z``).
     """
     t, (g, gp, gpp) = _finite_gamma(g0, 2, z if where is None else where)
     s = abs(g1) ** 2
@@ -186,11 +192,6 @@ def pullback_density_jet(z: complex, g0: complex, g1: complex, g2: complex,
     )
     d = complex(d)
     return DensityJet(complex(z), float(h), d, d.conjugate(), float(ddbar))
-
-
-def grauert_density_jet(w: complex) -> DensityJet:
-    """Density 1 + |w|^2 u^2(|w|^2) of the Grauert metric, with derivatives."""
-    return hk_density_jet(1, w)
 
 
 def hk_density_jet(k: int, z: complex) -> DensityJet:
@@ -231,11 +232,13 @@ def hk_density_jet(k: int, z: complex) -> DensityJet:
 def m_factor(t: float) -> float:
     """Numerator factor of the Grauert curvature as a function of t = |z|^2.
 
-    DomainOverflow where t**3 overflows a Python float (t >~ 5.6e102, so
-    |z| >~ 2.38e51), checked before the numpy terms can warn.
+    DomainOverflow where 2 t^3 overflows a Python float (t >~ 4.48e102, so
+    |z| >~ 2.1165e51), checked before the numpy terms can meet inf - inf.
     """
     try:
         t2, t3 = t**2, t**3
+        if math.isinf(2.0 * t3):
+            raise OverflowError
     except OverflowError:
         raise DomainOverflow(
             f"M(t) overflows at t = {t!r} (|z| = {math.sqrt(t):.3e}) in its t-domain"
@@ -258,7 +261,7 @@ def grauert_curvature(z: complex) -> float:
     """Gaussian curvature of the Grauert metric: -2 M(|z|^2) / gamma^3.
 
     Non-positive on all of C*; tends to -4 as z -> 0 and to 0 as |z| -> oo.
-    DomainOverflow from |z| ~ 2.38e51, where M(t) overflows (see m_factor).
+    DomainOverflow from |z| ~ 2.1165e51, where M(t) overflows (see m_factor).
     """
     z = complex(z)
     if z == 0:

@@ -24,10 +24,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .curvature import holo_sectional_curvature
+from .density import DIVISOR_TOL
 from .errors import GridTouchesDivisor, UnitVanishes
 from .foliation import VectorField, leaf_curvature
 from .holomorphic import HoloMap, Polynomial
-from .metric import DIVISOR_TOL, metric_matrix
+from .metric import metric_matrix
 
 #: slack allowed in the liminf inequality K_{f0} <= min over the tail of K_{fj}
 LIMINF_TOL = 1e-6

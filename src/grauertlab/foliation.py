@@ -19,7 +19,6 @@ import numpy as np
 from .density import DensityJet, gaussian_conformal, pullback_density_jet
 from .errors import DegenerateDirection, LeafIllConditioned, SingularField
 from .holomorphic import HoloMap, Polynomial, _as_point, eval_jet
-from .metric import _off_divisor_value
 
 #: |X(p)| below this counts as a singular point of the field
 FIELD_TOL = 1e-10
@@ -109,11 +108,10 @@ def leaf_density_jet(f: HoloMap, chart: LeafChart) -> DensityJet:
     a and H the gradient and Hessian of f at the base point.
     """
     jet = eval_jet(f, chart.base, 2)
-    g0 = _off_divisor_value(jet)
     a, H = jet.gradient(), jet.hessian()
     c = chart.coeffs
     chi1 = 2.0 * c[2]
-    return pullback_density_jet(0j, g0, a @ c[1], c[1] @ H @ c[1] + a @ chi1, c[1], chi1,
+    return pullback_density_jet(0j, jet.value, a @ c[1], c[1] @ H @ c[1] + a @ chi1, c[1], chi1,
                                 where=chart.base)
 
 

@@ -145,9 +145,9 @@ class HoloMap:
 
     Quotient denominators must not vanish at queried points; this is checked
     at every evaluation and raises :class:`DenominatorVanishes` otherwise.
-    ``_memo`` holds the metric's point-only blocks at the last point each
-    kind was built for (see :mod:`grauertlab.metric`); equality, hashing
-    and ``repr`` ignore it.
+    ``_memo`` is the metric's record of the last point
+    :func:`grauertlab.metric.metric_matrix_jet` built, laid out in
+    :mod:`grauertlab.metric`; equality, hashing and ``repr`` ignore it.
     """
 
     num: Polynomial
@@ -192,13 +192,9 @@ class HoloMap:
         return HoloMap(Polynomial.from_json(obj))
 
 
-def multi_indices(n: int, order: int) -> list[tuple[int, ...]]:
-    """All multi-indices alpha with |alpha| <= order, sorted by |alpha|."""
-    return list(_multi_indices(n, order))
-
-
 @functools.cache
 def _multi_indices(n: int, order: int) -> tuple[tuple[int, ...], ...]:
+    """All multi-indices alpha with |alpha| <= order, sorted by |alpha|."""
     out = []
     for total in range(order + 1):
         for alpha in itertools.product(range(total + 1), repeat=n):

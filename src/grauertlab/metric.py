@@ -9,33 +9,39 @@ Convention: phi(V) = V^T G conj(V) = sum_ik G[i, k] V_i conj(V_k), so
 G[i, k] pairs with V_i conj(V_k).  In this convention V^* G V is the
 quadratic form of G^T, not phi(V).
 
-A map keeps the point-only blocks of the last point it was evaluated at,
-one entry per kind in ``HoloMap._memo``: the gradient and gamma of the
-1-jet (``"ag"``), the :class:`MetricDerivatives` (``"md"``) and, in
-:func:`grauertlab.curvature.hsc`, the curvature tensor of that record.  The
-key is the exact IEEE bits of the evaluated point, so -0.0 and 0.0 are
-different points; a hit returns the very objects the miss built, held
-read-only.  Each function still evaluates its jet first, so a point that
-raises keeps raising, and an error stores nothing.  The memo assumes one
-thread per map, as the library is single-threaded.
+The divisor guard is :func:`grauertlab.density._finite_gamma`, which every
+path from the jet of f to gamma(|f|^2) goes through.
+
+A map keeps one record, ``HoloMap._memo``: the last point
+:func:`metric_matrix_jet` built, as a dict with
+
+- ``"key"``: the exact IEEE bits of the point, so -0.0 and 0.0 are
+  different points and a NaN coordinate matches its own bits;
+- ``"a"`` and ``"g"``: the gradient of f and gamma(|f|^2);
+- ``"md"``: the :class:`MetricDerivatives`;
+- ``"R"``: the curvature tensor, once :func:`grauertlab.curvature.hsc`
+  builds it.
+
+Every array is held read-only, and a hit returns the very objects the miss
+built.  A new record replaces the old one whole.  :func:`metric_eval`,
+:func:`metric_matrix` and :func:`metric_det` read the gradient and gamma
+from the record at its point and store nothing themselves.  Each function
+still evaluates its jet first, so a point that raises keeps raising, and an
+error stores nothing.  The record assumes one thread per map, as the
+library is single-threaded.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .density import T_MIN, _finite_gamma
-from .errors import NonFiniteInput, OnDivisor, SolveFailure
-from .holomorphic import HoloMap, Jet, eval_jet
-
-#: |f(z)| below this counts as "on the divisor": exactly where |f|^2 would
-#: fall below the profile's domain floor T_MIN
-DIVISOR_TOL = math.sqrt(T_MIN)
+from .density import _finite_gamma
+from .errors import NonFiniteInput, SolveFailure
+from .holomorphic import HoloMap, eval_jet
 
 #: Sherman-Morrison conditioning guard before declaring failure
 COND_LIMIT = 1e12
@@ -55,22 +61,6 @@ def _point_key(point: tuple[complex, ...]) -> bytes:
     return np.array(point, dtype=complex).tobytes()
 
 
-def _recall(f: HoloMap, kind: str, key: bytes):
-    """The memo entry of ``kind`` built at the point with bits ``key``, or None."""
-    entry = f._memo.get(kind)
-    if entry is not None and entry[0] == key:
-        return entry[1]
-    return None
-
-
-def _off_divisor_value(jet: Jet) -> complex:
-    """The value f(p) held by ``jet``; OnDivisor when |f(p)| < DIVISOR_TOL."""
-    v = jet.value
-    if abs(v) < DIVISOR_TOL:
-        raise OnDivisor(f"f vanishes at {jet.point} (|f| = {abs(v):.3e})")
-    return v
-
-
 def _as_direction(V) -> np.ndarray:
     """V as a complex array; NonFiniteInput when an entry is NaN or infinite."""
     V = np.asarray(V, dtype=complex)
@@ -79,29 +69,15 @@ def _as_direction(V) -> np.ndarray:
     return V
 
 
-def _finite_gamma_jet(jet: Jet, order: int) -> tuple[complex, float, tuple]:
-    """f(p), t = |f(p)|^2 and gamma(t) with its first ``order`` derivatives,
-    from the jet of f at p; OnDivisor where |f(p)| < DIVISOR_TOL or where
-    `density._finite_gamma` finds an overflow.
-    """
-    fz = _off_divisor_value(jet)
-    t, gj = _finite_gamma(fz, order, jet.point)
-    return fz, t, gj
-
-
 def _gradient_and_gamma(f: HoloMap, z) -> tuple[np.ndarray, float]:
-    """grad f(z), read-only, and gamma(|f(z)|^2) from one 1-jet of f;
-    memoized per map at its last point."""
+    """grad f(z) and gamma(|f(z)|^2) from one 1-jet of f, read from the
+    map's record when it was built at this point."""
     jet = eval_jet(f, z, 1)
-    key = _point_key(jet.point)
-    hit = _recall(f, "ag", key)
-    if hit is not None:
-        return hit
-    _, _, (g,) = _finite_gamma_jet(jet, 0)
-    a = jet.gradient()
-    a.setflags(write=False)
-    f._memo["ag"] = (key, (a, g))
-    return a, g
+    rec = f._memo
+    if rec and rec["key"] == _point_key(jet.point):
+        return rec["a"], rec["g"]
+    _, (g,) = _finite_gamma(jet.value, 0, jet.point)
+    return jet.gradient(), g
 
 
 def metric_eval(f: HoloMap, z, V) -> float:
@@ -143,15 +119,16 @@ def metric_matrix_jet(f: HoloMap, z) -> MetricDerivatives:
 
     The inverse uses the Sherman-Morrison rank-one form; its condition
     number 1 + gamma |grad f|^2 must stay below the guard.  The blocks are
-    read-only: the record is memoized per map at its last point.
+    read-only: they become the map's record (see the module docstring).
     """
     n = f.n
     jet = eval_jet(f, z, 2)
     key = _point_key(jet.point)
-    md = _recall(f, "md", key)
-    if md is not None:
-        return md
-    fz, t, (g, gp, gpp) = _finite_gamma_jet(jet, 2)
+    rec = f._memo
+    if rec and rec["key"] == key:
+        return rec["md"]
+    fz = jet.value
+    t, (g, gp, gpp) = _finite_gamma(fz, 2, jet.point)
     a = jet.gradient()
     H = jet.hessian()
 
@@ -184,10 +161,11 @@ def metric_matrix_jet(f: HoloMap, z) -> MetricDerivatives:
             f"metric conditioning {cond:.3e} exceeds {COND_LIMIT:.0e} at {jet.point}"
         )
     Ginv = _identity(n) - (g / cond) * aa
-    for block in (G, dG, ddG, Ginv):
+    for block in (a, G, dG, ddG, Ginv):
         block.setflags(write=False)
     md = MetricDerivatives(jet.point, G, dG, ddG, Ginv)
-    f._memo["md"] = (key, md)
+    rec.clear()
+    rec.update(key=key, a=a, g=g, md=md)
     return md
 
 

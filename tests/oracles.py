@@ -41,17 +41,17 @@ from grauertlab.density import (
     T_MIN,
     DensityJet,
     UJet,
+    _finite_gamma,
     gaussian_conformal,
     u_jet,
 )
 from grauertlab.divisors import CompactGrid, DivisorFamily, _checked_points
 from grauertlab.errors import GrauertError, SolveFailure
 from grauertlab.foliation import LeafChart, VectorField
-from grauertlab.holomorphic import HoloMap, Polynomial, _as_point, eval_jet, multi_indices
+from grauertlab.holomorphic import HoloMap, Polynomial, _as_point, _multi_indices, eval_jet
 from grauertlab.metric import (
     COND_LIMIT,
     MetricDerivatives,
-    _finite_gamma_jet,
     _gradient_and_gamma,
     _identity,
     metric_eval,
@@ -101,7 +101,7 @@ def symbolic_jet(f: HoloMap, z, order: int) -> dict:
     """
     def poly_jet(p: Polynomial) -> dict:
         out = {}
-        for alpha in multi_indices(p.n, order):
+        for alpha in _multi_indices(p.n, order):
             q = p
             for i, a in enumerate(alpha):
                 for _ in range(a):
@@ -120,7 +120,7 @@ def _quotient_jet(f: HoloMap, poly_jet: Callable[[Polynomial], dict], order: int
         return num
     den = poly_jet(f.den)
     q: dict = {}
-    for alpha in multi_indices(f.n, order):
+    for alpha in _multi_indices(f.n, order):
         acc = num[alpha]
         for beta in itertools.product(*(range(a + 1) for a in alpha)):
             if beta != alpha:
@@ -138,7 +138,7 @@ def mp_jet(f: HoloMap, z, order: int) -> dict:
 
     def poly_jet(p: Polynomial) -> dict:
         out = {}
-        for alpha in multi_indices(p.n, order):
+        for alpha in _multi_indices(p.n, order):
             total = mp.mpc(0)
             for exp, c in p.terms.items():
                 if all(e >= a for e, a in zip(exp, alpha)):
@@ -157,7 +157,8 @@ def loop_metric_matrix_jet(f: HoloMap, z) -> MetricDerivatives:
     inside the k, l loops."""
     n = f.n
     jet = eval_jet(f, z, 2)
-    fz, t, (g, gp, gpp) = _finite_gamma_jet(jet, 2)
+    fz = jet.value
+    t, (g, gp, gpp) = _finite_gamma(fz, 2, jet.point)
     a = jet.gradient()
     H = jet.hessian()
 

@@ -308,7 +308,7 @@ def test_memoized_tensor_is_read_only_and_kahler_tensor_stays_pure():
     f, p, _, V = MEMO_CASES["quot2"]
     f = HoloMap(f.num, f.den)
     hsc(f, p, V)
-    md, R = f._memo["R"]
+    md, R = f._memo["md"], f._memo["R"]
     assert md is metric_matrix_jet(f, p)
     with pytest.raises(ValueError):
         R[0, 0, 0, 0] = 0.0

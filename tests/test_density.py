@@ -15,13 +15,13 @@ from grauertlab.density import (
     T_MIN,
     gamma_jet,
     grauert_curvature,
-    grauert_density_jet,
     hk_density_jet,
     m_factor,
     power_curvature,
+    pullback_density_jet,
     u_jet,
 )
-from grauertlab.errors import DomainOverflow, DomainUnderflow, NonFiniteInput
+from grauertlab.errors import DomainOverflow, DomainUnderflow, NonFiniteInput, OnDivisor
 from oracles import errstate_u_jet, numpy_gamma_jet, profile_sweep, wirtinger_fd
 
 
@@ -158,9 +158,9 @@ def test_gamma_jet_derivatives():
 
 def test_grauert_density_values():
     e = float(np.e)
-    j = grauert_density_jet(np.sqrt(e))
+    j = hk_density_jet(1, np.sqrt(e))
     assert abs(j.h - (1 + (e - 1) ** 2 / e)) < 1e-13
-    assert abs(grauert_density_jet(1.0).h - 2.0) < 1e-13
+    assert abs(hk_density_jet(1, 1.0).h - 2.0) < 1e-13
 
 
 def test_density_jets_match_stencil():
@@ -178,12 +178,11 @@ def test_density_jets_match_stencil():
             assert abs(fd.ddbar - j.ddbar) < 1e-4 * max(1.0, abs(j.ddbar))
 
 
-def test_hk_reduces_to_grauert():
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        z = (0.1 + 3 * rng.random()) * np.exp(2j * np.pi * rng.random())
-        a, b = hk_density_jet(1, z), grauert_density_jet(z)
-        assert a.h == b.h and a.d == b.d and a.ddbar == b.ddbar
+def test_pullback_density_jet_below_divisor_tol_is_on_divisor():
+    # |g0|^2 = 1e-300 is below the profile's floor; the one divisor guard
+    # rejects the point before the profile can report an underflow
+    with pytest.raises(OnDivisor, match="f vanishes at"):
+        pullback_density_jet(0.5, 1e-150, 1.0, 0.0, [1.0], [0.0])
 
 
 def test_h2_at_unit_modulus():
@@ -196,12 +195,12 @@ def test_m_factor_at_one():
 
 
 @pytest.mark.parametrize("flt", ["default", "error"])
-@pytest.mark.parametrize("r", [2.4e51, 1e60, 1e77, 1e139])
+@pytest.mark.parametrize("r", [2.12e51, 2.25e51, 2.37e51, 2.4e51, 1e60, 1e77, 1e139])
 def test_kg_overflow_is_domain_overflow(r, flt):
-    # t**3 in M(t) overflows a Python float from |z| ~ 2.38e51: a declared
+    # 2 t^3 in M(t) overflows a Python float from |z| ~ 2.1165e51: a declared
     # DomainOverflow under either warning filter, not a raw OverflowError
-    # (or, under -W error, a RuntimeWarning from M's numpy terms, which at
-    # |z| = 1e77 turn inf - inf into NaN before t**3 is reached)
+    # (or NaN, or under -W error a RuntimeWarning, from M's numpy terms, which
+    # meet inf - inf once 2 t^3 is inf but t**3 is still finite)
     with warnings.catch_warnings():
         warnings.simplefilter(flt)
         with pytest.raises(DomainOverflow, match="log-domain form"):

@@ -362,7 +362,7 @@ def test_gamma_overflow_is_on_divisor_on_line_and_leaf(terms, z):
     # paths returned NaN or -inf, or raised NonPositiveDensity or a raw
     # OverflowError.  Both share one guard, and the leaf names its base point
     f = HoloMap.poly(1, terms)
-    with pytest.raises(OnDivisor):
+    with pytest.raises(OnDivisor, match=r"overflows at \(.*,\)"):
         line_curvature(f, z)
     with pytest.raises(OnDivisor, match=r"overflows at \(.*,\)"):
         leaf_curvature(f, VectorField.constant([1.0]), z)

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from grauertlab.errors import DenominatorVanishes, OrderUnsupported
-from grauertlab.holomorphic import HoloMap, Polynomial, eval_jet, multi_indices
+from grauertlab.holomorphic import HoloMap, Polynomial, _multi_indices, eval_jet
 from oracles import symbolic_jet, symbolic_value, wirtinger_fd
 
 
@@ -95,7 +95,7 @@ def test_polynomial_json_round_trip():
 
 
 def test_multi_indices_order():
-    idx = multi_indices(2, 2)
+    idx = _multi_indices(2, 2)
     assert idx[0] == (0, 0)
     assert set(idx) == {(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)}
 

@@ -92,12 +92,12 @@ def test_constant_map_flat():
 
 def test_ddG_matches_grauert_density():
     # n = 1, f = z: ddG[0][0] is the mixed second of 1 + |z|^2 u^2(|z|^2)
-    from grauertlab.density import grauert_density_jet
+    from grauertlab.density import hk_density_jet
 
     f = HoloMap.poly(1, {(1,): 1})
     for z in (0.7, 1.0 + 0.5j, 2.0):
         md = metric_matrix_jet(f, z)
-        j = grauert_density_jet(z)
+        j = hk_density_jet(1, z)
         assert abs(md.ddG[0, 0][0, 0] - j.ddbar) < 1e-10 * max(1.0, abs(j.ddbar))
 
 
@@ -312,14 +312,13 @@ def test_memo_tells_signed_zeros_apart():
     plus, minus = (2.0 + 0.5j, complex(0.0, 1.0)), (2.0 + 0.5j, complex(-0.0, 1.0))
     assert plus == minus
     md_plus = metric_matrix_jet(f, plus)
+    key_plus, a_plus = f._memo["key"], f._memo["a"]
     md_minus = metric_matrix_jet(f, minus)
     assert md_minus is not md_plus
+    assert f._memo["key"] != key_plus and f._memo["a"] is not a_plus
+    assert f._memo["md"] is md_minus
     assert np.copysign(1.0, md_minus.z[1].real) == -1.0
     assert np.copysign(1.0, md_plus.z[1].real) == 1.0
-    metric_eval(f, plus, (1, 1))
-    entry = f._memo["ag"]
-    metric_eval(f, minus, (1, 1))
-    assert f._memo["ag"] is not entry
     assert metric_matrix_jet(f, minus) is md_minus
 
 
@@ -344,19 +343,48 @@ def test_memo_stores_no_error(call):
 
 def test_memo_arrays_are_read_only():
     f, p, _, V = MEMO_CASES["poly3"]
+    f = _fresh(f)
     md = metric_matrix_jet(f, p)
+    assert f._memo["md"] is md
     for b in _BLOCKS:
         with pytest.raises(ValueError):
             getattr(md, b)[(0,) * getattr(md, b).ndim] = 0.0
-    metric_eval(f, p, V)
-    a, _ = f._memo["ag"][1]
     with pytest.raises(ValueError):
-        a[0] = 0.0
+        f._memo["a"][0] = 0.0
     # metric_matrix builds its own G from the held gradient and may write it
     G = metric_matrix(f, p)
     assert G.flags.writeable
     G[0, 0] = 0.0
     assert _bits(metric_eval(f, p, V)) == _bits(metric_eval(_fresh(f), p, V))
+
+
+def test_value_calls_store_no_record():
+    # metric_eval, metric_matrix and metric_det read the record; only
+    # metric_matrix_jet writes it
+    f, p, _, V = MEMO_CASES["quot2"]
+    f = _fresh(f)
+    metric_eval(f, p, V)
+    metric_matrix(f, p)
+    metric_det(f, p)
+    assert f._memo == {}
+
+
+def test_metric_eval_reads_the_record_of_its_point(monkeypatch):
+    # after metric_matrix_jet at p, metric_eval at p takes gradient and gamma
+    # from the record: no gamma_jet call, and the bits of a fresh map
+    import grauertlab.density as density
+
+    f, p, _, V = MEMO_CASES["quot2"]
+    want = metric_eval(_fresh(f), p, V)
+    used = _fresh(f)
+    metric_matrix_jet(used, p)
+    calls = []
+    real = density.gamma_jet
+    monkeypatch.setattr(density, "gamma_jet", lambda t: calls.append(t) or real(t))
+    assert float.hex(metric_eval(used, p, V)) == float.hex(want)
+    assert calls == []
+    assert float.hex(metric_eval(_fresh(f), p, V)) == float.hex(want)
+    assert len(calls) == 1
 
 
 def _hash_outcome(x):
