@@ -16,13 +16,11 @@ from .density import (
     u_jet,
 )
 from .curvature import (
-    critical_point_curvature,
     holo_sectional_curvature,
     hsc,
     k_plus,
     kahler_tensor,
     line_curvature,
-    line_density_jet,
     sup_sectional_curvature,
 )
 from .divisors import (
@@ -67,7 +65,6 @@ __all__ = [
     "Polynomial",
     "UJet",
     "VectorField",
-    "critical_point_curvature",
     "curvature_gap",
     "divisor_approach",
     "eval_jet",
@@ -85,7 +82,6 @@ __all__ = [
     "leaf_density_jet",
     "liminf_check",
     "line_curvature",
-    "line_density_jet",
     "m_factor",
     "metric_det",
     "metric_eval",

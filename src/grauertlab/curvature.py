@@ -1,19 +1,16 @@
 """Curvature machinery: the Kahler curvature tensor of the pullback metric,
 holomorphic sectional curvature, its sampled supremum, and the one-variable
-closed forms.
+curvature, which is the guarded conformal curvature of the pullback density.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .density import DensityJet, _finite_gamma, gaussian_conformal, pullback_density_jet
-from .errors import NotCritical, ZeroVector
+from .density import gaussian_conformal, pullback_density_jet
+from .errors import ZeroVector
 from .holomorphic import HoloMap, _as_point, eval_jet
 from .metric import MetricDerivatives, _as_direction, metric_eval, metric_matrix_jet
-
-#: |f'(p)| below this counts as a critical point
-CRITICAL_TOL = 1e-12
 
 #: imaginary residue allowed on algebraically-real quantities
 REAL_RESIDUE_TOL = 1e-8
@@ -143,36 +140,13 @@ def sup_sectional_curvature(
 k_plus = sup_sectional_curvature
 
 
-def critical_point_curvature(f: HoloMap, p: complex) -> float:
-    """Curvature at a critical point of a one-variable map, in closed form:
-    K(p) = -2 |f''(p)|^2 gamma(|f(p)|^2); zero exactly when f''(p) = 0.
-    """
-    if f.n != 1:
-        raise ValueError("critical_point_curvature expects a one-variable map")
-    jet = eval_jet(f, p, 2)
-    if abs(jet.d(0)) >= CRITICAL_TOL:
-        raise NotCritical(
-            f"|f'({jet.point[0]})| = {abs(jet.d(0)):.3e} >= {CRITICAL_TOL}"
-        )
-    _, (g,) = _finite_gamma(jet.value, 0, jet.point)
-    return float(-2.0 * abs(jet.d2(0, 0)) ** 2 * g)
-
-
-def line_density_jet(f: HoloMap, z: complex) -> DensityJet:
-    """Wirtinger jet of the one-variable metric density
-    h(z) = gamma(|f|^2) |f'|^2 + 1, assembled from the holomorphic jet of f.
-    """
-    if f.n != 1:
-        raise ValueError("line_density_jet expects a one-variable map")
-    jet = eval_jet(f, z, 2)
-    return pullback_density_jet(z, jet.value, jet.d(0), jet.d2(0, 0), [1.0], [0.0],
-                                where=jet.point)
-
-
 def line_curvature(f: HoloMap, z: complex) -> float:
-    """Full Gaussian curvature of the one-variable metric at ``z``.
-
-    Conformal-formula path; stays accurate arbitrarily close to the divisor,
-    unlike the tensor path whose rank-one solve degrades there.
+    """Gaussian curvature of the one-variable metric gamma(|f|^2) |f'|^2 + 1
+    at ``z``: :func:`gaussian_conformal` of its 2-jet, so a value within its
+    rounding bound or LeafIllConditioned, and OnDivisor next to the divisor.
     """
-    return gaussian_conformal(line_density_jet(f, z))
+    if f.n != 1:
+        raise ValueError("line_curvature expects a one-variable map")
+    jet = eval_jet(f, z, 2)
+    return gaussian_conformal(pullback_density_jet(
+        jet.point, jet.value, jet.d(0), jet.d2(0, 0), [1.0], [0.0]))

@@ -2,8 +2,8 @@
 
 Profile function u(t) = (t-1)/(t log t) with first and second derivatives,
 the conformal density 1 + |w|^2 u^2(|w|^2), its k-th power-pullback family,
-the closed-form Gaussian curvatures of both, and the pullback-density jet
-behind the one-variable and leaf curvatures.
+the closed-form Gaussian curvatures of both, the pullback-density jet behind
+the one-variable and leaf curvatures, and the guarded conformal curvature.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import numpy as np
 from .errors import (
     DomainOverflow,
     DomainUnderflow,
+    LeafIllConditioned,
     NonFiniteInput,
     NonPositiveDensity,
     OnDivisor,
@@ -34,6 +35,12 @@ DIVISOR_TOL = math.sqrt(T_MIN)
 SERIES_RADIUS = 1e-3
 
 _SERIES_ORDER = 10
+
+#: a conformal curvature whose rounding bound exceeds this x max(1, |K|) is rejected
+ROUNDING_TOL = 1e-10
+
+_EPS = float(np.finfo(float).eps)
+_LOG_DOMAIN = "a log-domain form of the profile would lift this limit"
 
 
 def _u_taylor_coeffs(order: int) -> tuple[float, ...]:
@@ -104,10 +111,10 @@ def _horner(row: tuple[float, ...], s: float) -> float:
     return acc
 
 
-def _sq(x: float) -> float:
-    """x**2 on a Python float, saturating to inf where it overflows."""
+def _pow(x: float, n: int) -> float:
+    """x**n >= 0 on a Python float, saturating to inf where it overflows."""
     try:
-        return x**2
+        return x**n
     except OverflowError:
         return math.inf
 
@@ -115,44 +122,44 @@ def _sq(x: float) -> float:
 def gamma_jet(t: float) -> tuple[float, float, float]:
     """gamma(t) = 1 + t u^2(t) with first and second derivatives.
 
-    Python float arithmetic, with _sq for the squares: the same IEEE
+    Python float arithmetic, with _pow for the squares: the same IEEE
     operations (** included) as on numpy scalars, without their overflow
     warnings, which -W error turns into exceptions.  The values are returned
     as numpy scalars, which keep saturating when a caller cubes them.
     """
     j = u_jet(t)
     t, u, up, upp = j.t, float(j.u), float(j.up), float(j.upp)
-    u2 = _sq(u)
+    u2 = _pow(u, 2)
     g = 1.0 + t * u2
     gp = u2 + 2.0 * t * u * up
-    gpp = 4.0 * u * up + 2.0 * t * (_sq(up) + u * upp)
+    gpp = 4.0 * u * up + 2.0 * t * (_pow(up, 2) + u * upp)
     return np.float64(g), np.float64(gp), np.float64(gpp)
 
 
-def _finite_gamma(fz: complex, order: int, where) -> tuple[float, tuple]:
+def _finite_gamma(fz: complex, order: int, point) -> tuple[float, tuple]:
     """t = |f(p)|^2 and gamma(t) with its first ``order`` derivatives, from
-    the value ``fz`` of f at the point ``where``: the one divisor guard.
+    the value ``fz`` of f at ``point``: the one divisor guard.
     The point counts as on the divisor where |f(p)| < DIVISOR_TOL or where
     any of them overflows (gamma itself for f = z: 1e-140 < |z| < 4.55e-79);
     where t itself overflows (|f| > ~1.3e154) it is above the profile's domain.
     """
     if abs(fz) < DIVISOR_TOL:
-        raise OnDivisor(f"f vanishes at {where} (|f| = {abs(fz):.3e})")
+        raise OnDivisor(f"f vanishes at {point} (|f| = {abs(fz):.3e})")
     try:
         t = abs(fz) ** 2
     except OverflowError:
-        raise DomainOverflow(f"|f|^2 overflows at {where} (|f| = {abs(fz):.3e})") from None
+        raise DomainOverflow(f"|f|^2 overflows at {point} (|f| = {abs(fz):.3e})") from None
     gj = gamma_jet(t)[: order + 1]
     if not all(map(math.isfinite, gj)):
         what = "gamma(|f|^2)" if order == 0 else f"the {order}-jet of gamma(|f|^2)"
-        raise OnDivisor(f"{what} overflows at {where} (|f| = {abs(fz):.3e})")
+        raise OnDivisor(f"{what} overflows at {point} (|f| = {abs(fz):.3e})")
     return t, gj
 
 
 class DensityJet(NamedTuple):
-    """Wirtinger jet of a positive conformal density at a point of C."""
+    """Wirtinger jet of a positive conformal density at ``z``, a point of C or C^n."""
 
-    z: complex
+    z: complex | tuple
     h: float
     d: complex
     dbar: complex
@@ -160,26 +167,37 @@ class DensityJet(NamedTuple):
 
 
 def gaussian_conformal(j: DensityJet) -> float:
-    """Gaussian curvature of h |dT|^2: K = -2 (h ddbar h - dh dbar h) / h^3."""
+    """Gaussian curvature of h |dT|^2: K = -2 (h ddbar h - dh dbar h) / h^3.
+
+    Rounding in K is bounded by 2 eps (h |ddbar| + |d|^2) / h^3, the size of
+    the terms that cancel: LeafIllConditioned where the bound exceeds
+    ROUNDING_TOL max(1, |K|), DomainOverflow where h^3 or K is not finite.
+    """
     if not j.h > 0:
         raise NonPositiveDensity(f"density {j.h} at {j.z} is not positive")
     num = j.h * j.ddbar - (j.d * j.dbar).real
-    return float(-2.0 * num / j.h**3)
+    h3 = _pow(j.h, 3)
+    K = float(-2.0 * num / h3)
+    if math.isinf(h3) or not math.isfinite(K):
+        raise DomainOverflow(f"K = -2 (h ddbar - |d|^2) / h^3 overflows at {j.z}; {_LOG_DOMAIN}")
+    bound = 2.0 * _EPS * (j.h * abs(j.ddbar) + _pow(abs(j.d), 2)) / h3
+    if bound > ROUNDING_TOL * max(1.0, abs(K)):
+        raise LeafIllConditioned(f"rounding bound {bound:.3e} on curvature {K:.6g} at {j.z}")
+    return K
 
 
 def pullback_density_jet(z: complex, g0: complex, g1: complex, g2: complex,
-                         chi0, chi1, where=None) -> DensityJet:
-    """Wirtinger jet of h = gamma(|g|^2) |g'|^2 + |chi|^2 at ``z``.
+                         chi0, chi1) -> DensityJet:
+    """Wirtinger jet of h = gamma(|g|^2) |g'|^2 + |chi|^2 at the point ``z``.
 
     ``g0, g1, g2`` are a holomorphic function g and its first two
     derivatives at ``z``; ``chi0`` and ``chi1`` are the components of a
     holomorphic vector chi and their first derivatives.  The jet follows
     from the chain rule through gamma; chi = (1) gives the one-variable
     pullback density, chi = the field along a leaf gives the leaf density.
-    Where :func:`_finite_gamma` puts g0 on the divisor, OnDivisor names the
-    point ``where`` (default ``z``).
+    Where :func:`_finite_gamma` puts g0 on the divisor, OnDivisor names ``z``.
     """
-    t, (g, gp, gpp) = _finite_gamma(g0, 2, z if where is None else where)
+    t, (g, gp, gpp) = _finite_gamma(g0, 2, z)
     s = abs(g1) ** 2
     h = g * s + float(np.vdot(chi0, chi0).real)
     d = gp * g1 * g0.conjugate() * s + g * g2 * g1.conjugate() + np.dot(chi1, np.conj(chi0))
@@ -191,41 +209,44 @@ def pullback_density_jet(z: complex, g0: complex, g1: complex, g2: complex,
         + float(np.vdot(chi1, chi1).real)
     )
     d = complex(d)
-    return DensityJet(complex(z), float(h), d, d.conjugate(), float(ddbar))
+    return DensityJet(z, float(h), d, d.conjugate(), float(ddbar))
 
 
 def hk_density_jet(k: int, z: complex) -> DensityJet:
     """Density k^2 |z|^{2(k-1)} (1 + |z|^{2k} u^2(|z|^{2k})) with derivatives.
 
     Closed forms for the Wirtinger jet; reduces to the Grauert density at
-    k = 1.
+    k = 1.  DomainOverflow where a power of |z|^2 overflows a Python float.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
     z = complex(z)
     if z == 0:
         raise ValueError("density undefined at z = 0")
-    s = abs(z) ** 2
-    t = s**k
-    j = u_jet(t)
-    u, up, upp = j.u, j.up, j.upp
-    k2 = float(k * k)
-    h = k2 * (s ** (k - 1)) * (1.0 + t * u**2)
-    d = (
-        k2
-        * np.conj(z)
-        * (
-            (k - 1) * s ** (k - 2)
-            + (2 * k - 1) * s ** (2 * k - 2) * u**2
-            + 2 * k * s ** (3 * k - 2) * u * up
+    try:
+        s = abs(z) ** 2
+        t = s**k
+        j = u_jet(t)
+        u, up, upp = j.u, j.up, j.upp
+        k2 = float(k * k)
+        h = k2 * (s ** (k - 1)) * (1.0 + t * u**2)
+        d = (
+            k2
+            * np.conj(z)
+            * (
+                (k - 1) * s ** (k - 2)
+                + (2 * k - 1) * s ** (2 * k - 2) * u**2
+                + 2 * k * s ** (3 * k - 2) * u * up
+            )
         )
-    )
-    ddbar = k2 * (
-        (k - 1) ** 2 * s ** (k - 2)
-        + (2 * k - 1) ** 2 * s ** (2 * k - 2) * u**2
-        + 2 * k * (5 * k - 2) * s ** (3 * k - 2) * u * up
-        + 2 * k2 * s ** (4 * k - 2) * (up**2 + u * upp)
-    )
+        ddbar = k2 * (
+            (k - 1) ** 2 * s ** (k - 2)
+            + (2 * k - 1) ** 2 * s ** (2 * k - 2) * u**2
+            + 2 * k * (5 * k - 2) * s ** (3 * k - 2) * u * up
+            + 2 * k2 * s ** (4 * k - 2) * (up**2 + u * upp)
+        )
+    except OverflowError:
+        raise DomainOverflow(f"the density jet of h_{k} overflows at {z}; {_LOG_DOMAIN}") from None
     return DensityJet(z, float(h), complex(d), complex(np.conj(d)), float(ddbar))
 
 
@@ -242,7 +263,7 @@ def m_factor(t: float) -> float:
     except OverflowError:
         raise DomainOverflow(
             f"M(t) overflows at t = {t!r} (|z| = {math.sqrt(t):.3e}) in its t-domain"
-            " form; a log-domain form of the profile would lift this limit"
+            f" form; {_LOG_DOMAIN}"
         ) from None
     j = u_jet(t)
     u, up, upp = j.u, j.up, j.upp

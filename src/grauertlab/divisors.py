@@ -66,8 +66,10 @@ class DivisorFamily:
     def from_template(
         f0: Polynomial, base: dict, per_j: dict, J: Sequence[int]
     ) -> "DivisorFamily":
-        """Family with coefficients base[exp] + per_j[exp] / j."""
+        """Family with coefficients base[exp] + per_j[exp] / j; base must be f0."""
         n = f0.n
+        if Polynomial(n, base) != f0:
+            raise ValueError("the family template's base is not f0")
 
         def member(j: int) -> HoloMap:
             terms = dict(base)

@@ -42,16 +42,12 @@ class ZeroVector(GrauertError):
     """A direction argument was the zero vector."""
 
 
-class NotCritical(GrauertError):
-    """The critical-point formula was applied at a non-critical point."""
-
-
 class SingularField(GrauertError):
     """A vector field vanishes at its base point."""
 
 
 class LeafIllConditioned(GrauertError):
-    """The rounding-error bound of a leaf curvature exceeds its tolerance."""
+    """The rounding-error bound of a conformal curvature exceeds its tolerance."""
 
 
 class DegenerateDirection(GrauertError):

@@ -17,17 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import DensityJet, gaussian_conformal, pullback_density_jet
-from .errors import DegenerateDirection, LeafIllConditioned, SingularField
+from .errors import DegenerateDirection, SingularField
 from .holomorphic import HoloMap, Polynomial, _as_point, eval_jet
 
 #: |X(p)| below this counts as a singular point of the field
 FIELD_TOL = 1e-10
-
-#: a leaf curvature whose rounding-error bound exceeds this times
-#: max(1, |K|) is rejected
-LEAF_ROUNDING_TOL = 1e-10
-
-_EPS = np.finfo(float).eps
 
 
 # -- vector fields and leaf charts ------------------------------------------
@@ -111,28 +105,14 @@ def leaf_density_jet(f: HoloMap, chart: LeafChart) -> DensityJet:
     a, H = jet.gradient(), jet.hessian()
     c = chart.coeffs
     chi1 = 2.0 * c[2]
-    return pullback_density_jet(0j, jet.value, a @ c[1], c[1] @ H @ c[1] + a @ chi1, c[1], chi1,
-                                where=chart.base)
+    return pullback_density_jet(chart.base, jet.value, a @ c[1], c[1] @ H @ c[1] + a @ chi1,
+                                c[1], chi1)
 
 
 def leaf_curvature(f: HoloMap, X: VectorField, p) -> float:
-    """Leaf curvature of the metric along the foliation of X at p: the
-    Gaussian curvature of the closed-form jet of the leaf density.
-
-    Rounding in K = -2 (h ddbar - |d|^2) / h^3 is bounded by
-    2 eps (h |ddbar| + |d|^2) / h^3, the size of the terms that cancel; when
-    the bound exceeds LEAF_ROUNDING_TOL max(1, |K|) the value is not
-    returned and LeafIllConditioned is raised.
-    """
-    chart = integrate_leaf(X, p)
-    jet = leaf_density_jet(f, chart)
-    K = gaussian_conformal(jet)
-    bound = 2.0 * _EPS * (jet.h * abs(jet.ddbar) + abs(jet.d) ** 2) / jet.h**3
-    if bound > LEAF_ROUNDING_TOL * max(1.0, abs(K)):
-        raise LeafIllConditioned(
-            f"rounding bound {bound:.3e} on leaf curvature {K:.6g} at {chart.base}"
-        )
-    return K
+    """Leaf curvature of the metric along the foliation of X at p: the guarded
+    :func:`gaussian_conformal` of the closed-form jet of the leaf density."""
+    return gaussian_conformal(leaf_density_jet(f, integrate_leaf(X, p)))
 
 
 def transverse_field(f: HoloMap, p) -> VectorField:

@@ -73,6 +73,10 @@ class Polynomial:
     def __call__(self, p) -> complex:
         return _poly_jet(self, _as_point(p, self.n), 0)[(0,) * self.n]
 
+    def __hash__(self):
+        # consistent with ==, which compares terms in any order
+        return hash((self.n, frozenset(self.terms.items())))
+
     def __reduce__(self):
         # the read-only terms view does not pickle; rebuild from a dict
         return Polynomial, (self.n, dict(self.terms))

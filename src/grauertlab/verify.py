@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .curvature import critical_point_curvature, hsc, k_plus, line_curvature
+from .curvature import hsc, k_plus, line_curvature
 from .density import gamma_jet, grauert_curvature, m_factor, power_curvature, u_jet
 from .divisors import (
     LIMINF_TOL,
@@ -139,12 +139,12 @@ def suite_thm51(seed: int = DEFAULT_SEED) -> dict:
     # inflection-type critical point: K = 0 iff f'' = 0
     f = HoloMap.poly(1, {(3,): 1, (0,): 1})
     checks.append(
-        _check("K at critical p=0 of z^3+1", 0.0, critical_point_curvature(f, 0), 1e-8)
+        _check("K at critical p=0 of z^3+1", 0.0, line_curvature(f, 0), 1e-8)
     )
     # quadratic critical point with |c|^2 = 1
     f = HoloMap.poly(1, {(2,): 1, (0,): 1j})
     checks.append(
-        _check("K at critical p=0 of z^2+i", -16.0, critical_point_curvature(f, 0), 1e-9)
+        _check("K at critical p=0 of z^2+i", -16.0, line_curvature(f, 0), 1e-9)
     )
 
     # approach to -4 at zeros of order 1, 2, 3

@@ -12,6 +12,9 @@ inside a radius estimated from the chart's tail growth, so
 :func:`stencil_leaf_curvature` checks the closed-form 2-jet path of
 :func:`grauertlab.foliation.leaf_curvature` independently, and
 :func:`mp_leaf_curvature` checks its rounding against 50-digit arithmetic.
+:func:`critical_point_curvature` is the closed form of the one-variable
+curvature at a critical point, independent of the conformal formula, and
+:func:`raw_conformal` is that formula without its rounding guard.
 :func:`loop_metric_matrix_jet` and :func:`loop_kahler_tensor` are the plain
 loop forms of the metric blocks and the curvature tensor, with ``np.outer``
 and every product written out inside the loops, and :func:`loop_hsc` is the
@@ -42,7 +45,6 @@ from grauertlab.density import (
     DensityJet,
     UJet,
     _finite_gamma,
-    gaussian_conformal,
     u_jet,
 )
 from grauertlab.divisors import CompactGrid, DivisorFamily, _checked_points
@@ -335,6 +337,20 @@ def mp_leaf_curvature(f: HoloMap, X: VectorField, p, dps: int = 50):
         return -2 * (h * ddbar - abs(d) ** 2) / h**3
 
 
+def critical_point_curvature(f: HoloMap, p) -> float:
+    """K(p) = -2 |f''(p)|^2 gamma(|f(p)|^2) at a critical point p of a
+    one-variable map; zero exactly when f''(p) = 0."""
+    jet = eval_jet(f, p, 2)
+    assert f.n == 1 and abs(jet.d(0)) < 1e-12, "not a critical point of a one-variable map"
+    _, (g,) = _finite_gamma(jet.value, 0, jet.point)
+    return float(-2.0 * abs(jet.d2(0, 0)) ** 2 * g)
+
+
+def raw_conformal(j: DensityJet) -> float:
+    """K = -2 (h ddbar - |d|^2) / h^3 with no rounding bound or overflow check."""
+    return float(-2.0 * (j.h * j.ddbar - (j.d * j.dbar).real) / j.h**3)
+
+
 class NonFiniteSample(GrauertError):
     """A finite-difference stencil hit a non-finite sample."""
 
@@ -534,5 +550,4 @@ def stencil_leaf_curvature(f: HoloMap, X: VectorField, p) -> float:
     # second-order stencils: Richardson-combine for fourth-order accuracy
     d = (4.0 * j2.d - j1.d) / 3.0
     ddbar = (4.0 * j2.ddbar - j1.ddbar) / 3.0
-    jet = DensityJet(0j, j2.value, d, np.conj(d), ddbar)
-    return gaussian_conformal(jet)
+    return raw_conformal(DensityJet(0j, j2.value, d, np.conj(d), ddbar))

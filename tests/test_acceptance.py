@@ -9,12 +9,7 @@ import time
 
 import numpy as np
 
-from grauertlab.curvature import (
-    critical_point_curvature,
-    hsc,
-    k_plus,
-    line_curvature,
-)
+from grauertlab.curvature import hsc, k_plus, line_curvature
 from grauertlab.density import grauert_curvature, power_curvature
 from grauertlab.divisors import curvature_gap, liminf_check, sup_metric_gap
 from grauertlab.foliation import (
@@ -26,7 +21,7 @@ from grauertlab.foliation import (
 from grauertlab.holomorphic import HoloMap, eval_jet
 from grauertlab.metric import metric_matrix, metric_matrix_jet
 from grauertlab.verify import LIMINF_TAIL, family_1d, family_2d, grid_1d, grid_2d
-from oracles import wirtinger_fd
+from oracles import critical_point_curvature, wirtinger_fd
 
 SEED = 20260824
 
@@ -71,7 +66,7 @@ def test_criterion_3_derived_values():
     # Kg(|z|=1) = -1/12 within 1e-9; z^2 + c with |c|^2 = 1 gives -16
     ok1 = abs(grauert_curvature(1.0) + 1.0 / 12.0) < 1e-9
     f = HoloMap.poly(1, {(2,): 1, (0,): np.exp(0.3j)})
-    ok2 = abs(critical_point_curvature(f, 0.0) + 16.0) < 1e-9
+    ok2 = abs(line_curvature(f, 0.0) + 16.0) < 1e-9
     _report(3, "derived closed-form values", ok1 and ok2)
 
 

@@ -206,6 +206,18 @@ def test_malformed_input_exit_2_no_partial_output(workdir):
     assert not [p for p in os.listdir(workdir) if p.startswith(".grauertlab-")]
 
 
+def test_family_base_not_f0_exit_2_no_output(workdir, capsys):
+    obj = json.load(open(workdir / "fam1.json"))
+    obj["fj"]["template"]["terms"][1]["re"] = 5
+    json.dump(obj, open(workdir / "fam_bad.json", "w"))
+    out = workdir / "never.csv"
+    code = main(["converge-metric", "--family", str(workdir / "fam_bad.json"),
+                 "--grid", str(workdir / "grid1.json"), "--out", str(out)])
+    assert code == 2
+    assert "bad family descriptor" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_keys_rejected(workdir):
     obj = json.load(open(workdir / "grid1.json"))
     obj["extra"] = 1

@@ -1,5 +1,5 @@
 """Tests for conformal Gaussian curvature, the Kahler tensor, holomorphic
-sectional curvature, its sampled supremum, and the critical-point formula."""
+sectional curvature, its sampled supremum, and the one-variable curvature."""
 
 import numpy as np
 import pytest
@@ -7,19 +7,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grauertlab.curvature import (
-    critical_point_curvature,
     gaussian_conformal,
     hsc,
     k_plus,
     kahler_tensor,
     line_curvature,
-    line_density_jet,
 )
-from grauertlab.density import DensityJet
-from grauertlab.errors import GrauertError, NotCritical, OnDivisor, ZeroVector
+from grauertlab.density import DensityJet, pullback_density_jet
+from grauertlab.errors import GrauertError, LeafIllConditioned, OnDivisor, ZeroVector
+from grauertlab.foliation import VectorField, integrate_leaf, leaf_density_jet
 from grauertlab.holomorphic import HoloMap, Polynomial, eval_jet
 from grauertlab.metric import metric_matrix_jet
-from oracles import MEMO_CASES, loop_hsc, loop_kahler_tensor, loop_metric_matrix_jet, wirtinger_fd
+from oracles import (
+    MEMO_CASES,
+    critical_point_curvature,
+    loop_hsc,
+    loop_kahler_tensor,
+    loop_metric_matrix_jet,
+    mp_leaf_curvature,
+    wirtinger_fd,
+)
 
 
 def _jet_of(F, z):
@@ -145,22 +152,22 @@ def test_k_plus_rejects_tiny_sample():
 
 def test_critical_point_inflection():
     f = HoloMap.poly(1, {(3,): 1, (0,): 1})  # f'' (0) = 0
-    assert abs(critical_point_curvature(f, 0.0)) < 1e-12
+    K = line_curvature(f, 0.0)
+    assert abs(K) < 1e-12
+    assert float.hex(K) == float.hex(critical_point_curvature(f, 0.0)) == "-0x0.0p+0"
 
 
 def test_critical_point_values():
+    # line_curvature at a critical point against the oracle's closed form
+    # K(p) = -2 |f''(p)|^2 gamma(|f(p)|^2)
     e = float(np.e)
     f = HoloMap.poly(1, {(2,): 1, (0,): np.sqrt(e)})
     expect = -8 * (1 + (e - 1) ** 2 / e)
-    assert abs(critical_point_curvature(f, 0.0) - expect) < 1e-9
+    assert abs(line_curvature(f, 0.0) - expect) < 1e-9
+    assert abs(line_curvature(f, 0.0) - critical_point_curvature(f, 0.0)) < 1e-12
     f = HoloMap.poly(1, {(2,): 1, (0,): 1j})  # |c|^2 = 1
-    assert abs(critical_point_curvature(f, 0.0) + 16.0) < 1e-9
-
-
-def test_critical_point_guard():
-    f = HoloMap.poly(1, {(2,): 1, (1,): 1, (0,): 1})
-    with pytest.raises(NotCritical):
-        critical_point_curvature(f, 1.0)
+    assert abs(line_curvature(f, 0.0) + 16.0) < 1e-9
+    assert float.hex(line_curvature(f, 0.0)) == float.hex(critical_point_curvature(f, 0.0))
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
@@ -168,7 +175,38 @@ def test_critical_point_guard():
 def test_critical_point_gamma_overflow_is_on_divisor():
     # gamma(|f|^2) overflows at |f| = 1e-100: -inf was returned
     with pytest.raises(OnDivisor):
-        critical_point_curvature(HoloMap.poly(1, {(2,): 1, (0,): 1e-100}), 0.0)
+        line_curvature(HoloMap.poly(1, {(2,): 1, (0,): 1e-100}), 0.0)
+
+
+def test_line_curvature_rounding_bound_rejects():
+    # f = (z - a)^2 + c stored as expanded monomials, 1.2e-12 from a zero
+    # (draw 501 of a seeded probe of (z - a)^k + c): the cancellation in
+    # h ddbar - |d|^2 is bounded by 8.1e-9 |K|, and the value the formula
+    # gives, -5.746509, is 4.6e-5 off the 50-digit one
+    f = HoloMap.poly(1, {(0,): -0.070705519713583 + 0.3835916694441675j,
+                         (1,): -0.7991847306299502 - 0.9599574534956031j,
+                         (2,): 1.0})
+    z = 0.39959227413063003 + 0.47997877490311974j
+    ref = float(mp_leaf_curvature(f, VectorField.constant([1.0]), [z]))
+    assert abs(-5.746509218546104 - ref) > 1e-5 * abs(ref)
+    with pytest.raises(LeafIllConditioned, match="rounding bound"):
+        line_curvature(f, z)
+
+
+def test_pullback_density_jet_names_its_point():
+    # the point a density jet is taken at is the point its errors name
+    z = (0.25 - 0.5j,)
+    j = pullback_density_jet(z, 1.0 + 0j, 2.0 + 0j, 0j, [1.0], [0.0])
+    assert j.z == z
+    with pytest.raises(OnDivisor, match=r"f vanishes at \(\(0\.25-0\.5j\),\)"):
+        pullback_density_jet(z, 0j, 1.0 + 0j, 0j, [1.0], [0.0])
+    with pytest.raises(TypeError):
+        pullback_density_jet(0j, 1.0 + 0j, 1.0 + 0j, 0j, [1.0], [0.0], where=z)
+    f = HoloMap.poly(2, {(1, 1): 1, (0, 0): -1})
+    chart = integrate_leaf(VectorField.constant([1.0, 0.0]), (2.0, 0.25))
+    assert leaf_density_jet(f, chart).z == chart.base
+    with pytest.raises(OnDivisor, match=r"f vanishes at \(\(2\+0j\), \(0\.5\+0j\)\)"):
+        leaf_density_jet(f, integrate_leaf(VectorField.constant([1.0, 0.0]), (2.0, 0.5)))
 
 
 def test_line_curvature_nonpositive_random():
@@ -183,6 +221,12 @@ def test_line_curvature_nonpositive_random():
             assert line_curvature(f, z) <= 1e-8
 
 
+def _line_density_jet(f, z):
+    """The density jet line_curvature takes the curvature of."""
+    jet = eval_jet(f, z, 2)
+    return pullback_density_jet(jet.point, jet.value, jet.d(0), jet.d2(0, 0), [1.0], [0.0])
+
+
 def test_line_density_jet_matches_stencil():
     rng = np.random.default_rng(10)
     f = HoloMap.poly(1, {(2,): 1, (1,): -0.5, (0,): 0.3j})
@@ -190,8 +234,8 @@ def test_line_density_jet_matches_stencil():
         z = complex(*rng.normal(size=2))
         if abs(f([z])) < 0.1:
             continue
-        j = line_density_jet(f, z)
-        fd = _jet_of(lambda T: line_density_jet(f, z + T).h, z)
+        j = _line_density_jet(f, z)
+        fd = _jet_of(lambda T: _line_density_jet(f, z + T).h, z)
         assert abs(fd.d - j.d) < 1e-5 * max(1.0, abs(j.d))
         assert abs(fd.ddbar - j.ddbar) < 1e-4 * max(1.0, abs(j.ddbar))
 

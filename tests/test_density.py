@@ -21,8 +21,14 @@ from grauertlab.density import (
     pullback_density_jet,
     u_jet,
 )
-from grauertlab.errors import DomainOverflow, DomainUnderflow, NonFiniteInput, OnDivisor
-from oracles import errstate_u_jet, numpy_gamma_jet, profile_sweep, wirtinger_fd
+from grauertlab.errors import (
+    DomainOverflow,
+    DomainUnderflow,
+    GrauertError,
+    NonFiniteInput,
+    OnDivisor,
+)
+from oracles import errstate_u_jet, numpy_gamma_jet, profile_sweep, raw_conformal, wirtinger_fd
 
 
 def kg_oracle(t, dps=50):
@@ -252,6 +258,37 @@ def test_power_curvature_identity():
             z = (0.2 + 1.5 * rng.random()) * np.exp(2j * np.pi * rng.random())
             a, b = power_curvature(k, z), grauert_curvature(z**k)
             assert abs(a - b) < 1e-8 * abs(b)
+
+
+# hk_density_jet's numpy-scalar terms still overflow with a warning; the
+# log-domain profile would remove it
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_power_curvature_finite_or_declared_over_the_domain():
+    # |z| in [1e-140, 1e140]: nan, inf and a raw OverflowError were returned
+    # or raised on most of it; a finite value keeps the formula's bits
+    finite = declared = 0
+    for k in range(1, 6):
+        for i, r in enumerate(np.logspace(-140, 140, 401)):
+            z = complex(r * np.exp(0.7j * i))
+            try:
+                K = power_curvature(k, z)
+            except GrauertError:
+                declared += 1
+                continue
+            assert math.isfinite(K)
+            assert float.hex(K) == float.hex(raw_conformal(hk_density_jet(k, z)))
+            finite += 1
+    assert finite > 200 and declared > 1500
+
+
+def test_power_curvature_overflow_is_domain_overflow():
+    # |z|^(2 (4k - 2)) overflows a Python float
+    with pytest.raises(DomainOverflow, match="density jet of h_2 overflows.*log-domain"):
+        hk_density_jet(2, 1e40)
+    # the jet is finite, h^3 is not
+    assert math.isfinite(hk_density_jet(1, 1e60).h)
+    with pytest.raises(DomainOverflow, match=r"h\^3 overflows.*log-domain"):
+        power_curvature(1, 1e60)
 
 
 def test_hk_blow_up_and_vanishing_ratios():

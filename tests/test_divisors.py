@@ -140,6 +140,22 @@ def test_family_json_round_trip():
     assert fam.f0((1.0,)) == 0.0
 
 
+def test_family_template_base_must_be_f0():
+    # f_j -> z + 5, not to f0 = z - 1: every converge-* gap would be
+    # measured against the wrong limit
+    obj = {
+        "f0": {"n": 1, "terms": [{"exp": [1], "re": 1}, {"exp": [0], "re": -1}]},
+        "fj": {"template": {"terms": [{"exp": [1], "re": 1},
+                                      {"exp": [0], "re": 5, "re_j": -1}]}},
+        "J": [1, 4, 64],
+    }
+    with pytest.raises(ValueError, match="base is not f0"):
+        DivisorFamily.from_json(obj)
+    f0 = Polynomial(1, {(1,): 1, (0,): -1})
+    with pytest.raises(ValueError, match="base is not f0"):
+        DivisorFamily.from_template(f0, {(1,): 1, (0,): -1.5}, {(0,): 0.5}, [1, 2])
+
+
 def test_n2_canonical_grids_nonempty():
     assert len(grid_2d().points(family_2d().f0)) > 100
     assert len(grid_1d().points(family_1d().f0)) > 100

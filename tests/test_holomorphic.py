@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from grauertlab.errors import DenominatorVanishes, OrderUnsupported
+from grauertlab.foliation import VectorField
 from grauertlab.holomorphic import HoloMap, Polynomial, _multi_indices, eval_jet
 from oracles import symbolic_jet, symbolic_value, wirtinger_fd
 
@@ -92,6 +93,21 @@ def test_polynomial_json_round_trip():
     q = HoloMap(p, Polynomial(2, {(0, 0): 1.0, (1, 0): 1.0}))
     r = HoloMap.from_json(q.to_json())
     assert r.num.terms == q.num.terms and r.den.terms == q.den.terms
+
+
+def test_polynomials_maps_and_fields_hash_like_they_compare():
+    # equality ignores term order, so the hash does too
+    p = Polynomial(1, {(2,): 0.3 + 1j, (1,): -2.0, (0,): 0.7j})
+    q = Polynomial(1, {(0,): 0.7j, (1,): -2.0, (2,): 0.3 + 1j})
+    assert p == q and hash(p) == hash(q)
+    # but summed in another term order they round differently, so no cache
+    # may be keyed by equality
+    rng = np.random.default_rng(0)
+    assert any(p(z) != q(z) for z in rng.normal(size=20) + 1j * rng.normal(size=20))
+    assert p != Polynomial(2, {(2, 0): 0.3 + 1j, (1, 0): -2.0, (0, 0): 0.7j})
+    f, g = HoloMap(p, Polynomial.constant(1, 2.0)), HoloMap(q, Polynomial.constant(1, 2.0))
+    assert {f: 1}[g] == 1 and HoloMap(p) not in {f: 1}
+    assert hash(VectorField((f,))) == hash(VectorField((g,)))
 
 
 def test_multi_indices_order():
