@@ -57,38 +57,14 @@ def _parse_vector(toks: list[str]) -> list[complex]:
     return [_parse_complex(t) for t in toks]
 
 
-def _load_json(path: str) -> dict:
+def _load(path: str, what: str, from_json):
+    """Read the ``what`` descriptor at ``path`` and build it with ``from_json``,
+    which checks the descriptor's schema."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read JSON file {path}: {exc}") from exc
-
-
-def _reject_unknown(obj: dict, allowed: set[str], what: str) -> None:
-    extra = set(obj) - allowed
-    if extra:
-        raise ConfigError(f"unknown keys {sorted(extra)} in {what}")
-
-
-#: allowed keys of the descriptor files
-_FIELD_KEYS = {"components"}
-_FAMILY_KEYS = {"f0", "fj", "J"}
-_GRID_KEYS = {"box", "resolution", "delta"}
-
-
-def _map_keys(obj: dict) -> set[str]:
-    return {"num", "den"} if "num" in obj else {"n", "terms"}
-
-
-def _load(path: str, what: str, keys, from_json):
-    """Read the ``what`` descriptor at ``path`` and build it with ``from_json``.
-
-    ``keys`` is the set of allowed keys, or a function of the parsed object
-    that returns it.
-    """
-    obj = _load_json(path)
-    _reject_unknown(obj, keys(obj) if callable(keys) else keys, path)
     try:
         return from_json(obj)
     except (KeyError, ValueError, TypeError) as exc:
@@ -159,7 +135,7 @@ def _cmd_kg_grid(a) -> int:
 
 
 def _cmd_metric_eval(a) -> int:
-    f = _load(a.f, "map", _map_keys, HoloMap.from_json)
+    f = _load(a.f, "map", HoloMap.from_json)
     z = _parse_vector(a.z)
     V = _parse_vector(a.V)
     G = metric_matrix(f, z)
@@ -175,14 +151,14 @@ def _cmd_metric_eval(a) -> int:
 
 
 def _cmd_hsc(a) -> int:
-    f = _load(a.f, "map", _map_keys, HoloMap.from_json)
+    f = _load(a.f, "map", HoloMap.from_json)
     K = holo_sectional_curvature(f, _parse_vector(a.p), _parse_vector(a.V))
     _emit_json({"K": K}, a.out)
     return 0
 
 
 def _cmd_kplus(a) -> int:
-    f = _load(a.f, "map", _map_keys, HoloMap.from_json)
+    f = _load(a.f, "map", HoloMap.from_json)
     best, V = sup_sectional_curvature(
         f, _parse_vector(a.p), samples=a.samples, seed=a.seed, return_direction=True
     )
@@ -199,8 +175,8 @@ def _cmd_kplus(a) -> int:
 
 
 def _cmd_curvature_grid(a) -> int:
-    f = _load(a.f, "map", _map_keys, HoloMap.from_json)
-    grid = _load(a.grid, "grid", _GRID_KEYS, CompactGrid.from_json)
+    f = _load(a.f, "map", HoloMap.from_json)
+    grid = _load(a.grid, "grid", CompactGrid.from_json)
     V = _parse_vector(a.V)
     rows = []
     schema = [f"re{i+1}" for i in range(f.n)] + [f"im{i+1}" for i in range(f.n)] + ["K"]
@@ -214,15 +190,15 @@ def _cmd_curvature_grid(a) -> int:
 
 
 def _cmd_leaf_curvature(a) -> int:
-    f = _load(a.f, "map", _map_keys, HoloMap.from_json)
-    X = _load(a.X, "field", _FIELD_KEYS, VectorField.from_json)
+    f = _load(a.f, "map", HoloMap.from_json)
+    X = _load(a.X, "field", VectorField.from_json)
     K = leaf_curvature(f, X, _parse_vector(a.p))
     _emit_json({"K": K}, a.out)
     return 0
 
 
 def _cmd_leaf_approach(a) -> int:
-    f = _load(a.f, "map", _map_keys, HoloMap.from_json)
+    f = _load(a.f, "map", HoloMap.from_json)
     base = _parse_vector(a.base)
     direction = _parse_vector(a.direction)
     path = geometric_path(base, direction, start=a.start, ratio=a.ratio, steps=a.steps)
@@ -243,8 +219,8 @@ def _cmd_leaf_approach(a) -> int:
 
 
 def _cmd_converge_metric(a) -> int:
-    fam = _load(a.family, "family", _FAMILY_KEYS, DivisorFamily.from_json)
-    grid = _load(a.grid, "grid", _GRID_KEYS, CompactGrid.from_json)
+    fam = _load(a.family, "family", DivisorFamily.from_json)
+    grid = _load(a.grid, "grid", CompactGrid.from_json)
     rows = [
         {"j": j, "gap": sup_metric_gap(fam, grid, j), "delta": grid.delta}
         for j in fam.J
@@ -254,9 +230,9 @@ def _cmd_converge_metric(a) -> int:
 
 
 def _cmd_converge_curvature(a) -> int:
-    fam = _load(a.family, "family", _FAMILY_KEYS, DivisorFamily.from_json)
-    grid = _load(a.grid, "grid", _GRID_KEYS, CompactGrid.from_json)
-    X = _load(a.X, "field", _FIELD_KEYS, VectorField.from_json)
+    fam = _load(a.family, "family", DivisorFamily.from_json)
+    grid = _load(a.grid, "grid", CompactGrid.from_json)
+    X = _load(a.X, "field", VectorField.from_json)
     rows = [
         {"j": j, "gap": curvature_gap(fam, X, grid, j), "delta": grid.delta}
         for j in fam.J
@@ -266,7 +242,7 @@ def _cmd_converge_curvature(a) -> int:
 
 
 def _cmd_liminf(a) -> int:
-    fam = _load(a.family, "family", _FAMILY_KEYS, DivisorFamily.from_json)
+    fam = _load(a.family, "family", DivisorFamily.from_json)
     rep = liminf_check(fam, _parse_vector(a.p), _parse_vector(a.V), a.tail)
     _emit_json(
         {"K0": rep["K0"], "Kj_min": rep["Kj_min"], "margin": rep["margin"]}, a.out

@@ -6,12 +6,10 @@ Metric and leaf-curvature gaps are measured as sups over a fixed compact
 grid with an exclusion margin around the limit divisor.
 
 The f_0 side of a gap -- G_0 or the f_0 leaf curvature at every grid point --
-is the same for every j, so a family memoizes it: the first gap call over a
-grid (and, for leaf curvature, a field X) computes it in the point loop, as
-every call did before, and stores it once that whole loop has run; later
-calls for other j read it.  Within a point f_j is evaluated before f_0, and
-an f_0 side that raised is never stored, so every call raises the same first
-exception as a call on a fresh family, and every gap is the same bits.
+is the same for every j, so a family keeps it per grid (and, for leaf
+curvature, per field X): the first gap call computes it whole, before any
+f_j, and later calls for other j read it.  An f_0 side that raised is never
+kept, and every gap is the same bits as on a fresh family.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ from .curvature import holo_sectional_curvature
 from .density import DIVISOR_TOL
 from .errors import GridTouchesDivisor, UnitVanishes
 from .foliation import VectorField, leaf_curvature
-from .holomorphic import HoloMap, Polynomial
+from .holomorphic import HoloMap, Polynomial, _json_int, _json_object
 from .metric import metric_matrix
 
 #: slack allowed in the liminf inequality K_{f0} <= min over the tail of K_{fj}
@@ -80,25 +78,26 @@ class DivisorFamily:
         return DivisorFamily(HoloMap(f0), member, tuple(J))
 
     @staticmethod
-    def from_json(obj: dict) -> "DivisorFamily":
+    def from_json(obj) -> "DivisorFamily":
         """Descriptor {"f0": poly, "fj": {"template": poly-with-1/j-terms},
         "J": [...]}.
 
         Template terms carry the constant part in ("re", "im") and the 1/j
         coefficient in ("re_j", "im_j").
         """
+        _json_object(obj, {"f0", "fj", "J"}, "family")
         f0 = Polynomial.from_json(obj["f0"])
+        fj = _json_object(obj["fj"], {"template"}, "family fj")
+        template = _json_object(fj["template"], {"terms"}, "family template")
         base: dict = {}
         per_j: dict = {}
-        for t in obj["fj"]["template"]["terms"]:
-            exp = tuple(int(e) for e in t["exp"])
-            c0 = complex(float(t.get("re", 0.0)), float(t.get("im", 0.0)))
-            cj = complex(float(t.get("re_j", 0.0)), float(t.get("im_j", 0.0)))
+        for t in template["terms"]:
+            exp, (c0, cj) = Polynomial.term_from_json(t, ("", "_j"))
             if c0 != 0:
                 base[exp] = base.get(exp, 0) + c0
             if cj != 0:
                 per_j[exp] = per_j.get(exp, 0) + cj
-        return DivisorFamily.from_template(f0, base, per_j, [int(j) for j in obj["J"]])
+        return DivisorFamily.from_template(f0, base, per_j, [_json_int(j) for j in obj["J"]])
 
 
 @dataclass(frozen=True)
@@ -143,10 +142,11 @@ class CompactGrid:
         }
 
     @staticmethod
-    def from_json(obj: dict) -> "CompactGrid":
+    def from_json(obj) -> "CompactGrid":
+        _json_object(obj, {"box", "resolution", "delta"}, "grid")
         return CompactGrid(
             tuple(tuple(float(v) for v in b) for b in obj["box"]),
-            int(obj["resolution"]),
+            _json_int(obj["resolution"]),
             float(obj["delta"]),
         )
 
@@ -160,29 +160,19 @@ def _checked_points(fam: DivisorFamily, grid: CompactGrid, j: int):
     return pts, fj
 
 
-def _sides(fam: DivisorFamily, grid: CompactGrid, j: int, side, X=None):
-    """(f_j side, f_0 side) at each grid point, the f_j side computed first.
-
-    The f_0 sides are read from the family's memo when its entry for this
-    ``side`` and grid was computed for this very field ``X`` (a field is not
-    hashable); otherwise they are computed here, and stored once every point
-    has been yielded.
-    """
-    pts, fj = _checked_points(fam, grid, j)
+def _limit_side(fam: DivisorFamily, grid: CompactGrid, pts, side, X=None) -> list:
+    """The f_0 side at the points ``pts`` of ``grid``: the family's kept list for
+    this ``side``, grid and very field ``X`` (a field is not hashable), or else
+    computed whole here and kept."""
     # repr, not the grid: equal grids can differ in the sign of a zero bound,
     # and so in the signs of zero coordinates of their points
     key = (side, repr(grid))
     entry = fam._limit_sides.get(key)
     if entry is not None and entry[0] is X:
-        for p, v0 in zip(pts, entry[1]):
-            yield side(fj, p, X), v0
-        return
-    limit = []
-    for p in pts:
-        vj = side(fj, p, X)
-        limit.append(side(fam.f0, p, X))
-        yield vj, limit[-1]
+        return entry[1]
+    limit = [side(fam.f0, p, X) for p in pts]
     fam._limit_sides[key] = (X, limit)
+    return limit
 
 
 def _metric_side(f: HoloMap, p, X) -> np.ndarray:
@@ -206,9 +196,10 @@ def _op_norm(diff: np.ndarray) -> float:
 
 def sup_metric_gap(fam: DivisorFamily, grid: CompactGrid, j: int) -> float:
     """sup over the grid of the operator norm ||G_j(z) - G_0(z)||_2."""
+    pts, fj = _checked_points(fam, grid, j)
     gap = 0.0
-    for Gj, G0 in _sides(fam, grid, j, _metric_side):
-        gap = max(gap, _op_norm(Gj - G0))
+    for p, G0 in zip(pts, _limit_side(fam, grid, pts, _metric_side)):
+        gap = max(gap, _op_norm(metric_matrix(fj, p) - G0))
     return gap
 
 
@@ -216,23 +207,21 @@ def curvature_gap(
     fam: DivisorFamily, X: VectorField, grid: CompactGrid, j: int
 ) -> float:
     """sup over the grid of the leaf-curvature gap of the foliation of X."""
+    pts, fj = _checked_points(fam, grid, j)
     gap = 0.0
-    for kj, k0 in _sides(fam, grid, j, _leaf_side, X):
-        gap = max(gap, abs(kj - k0))
+    for p, k0 in zip(pts, _limit_side(fam, grid, pts, _leaf_side, X)):
+        gap = max(gap, abs(leaf_curvature(fj, X, p) - k0))
     return gap
 
 
-def twisted_family(
-    fam: DivisorFamily, unit: HoloMap, grid: CompactGrid | None = None
-) -> DivisorFamily:
+def twisted_family(fam: DivisorFamily, unit: HoloMap, grid: CompactGrid) -> DivisorFamily:
     """Family h*f_j with the same divisors, twisted by a nonvanishing unit.
 
-    If a grid is supplied the unit is checked to stay above 1e-8 on it.
+    The unit is checked to stay above 1e-8 on the grid.
     """
-    if grid is not None:
-        low = min(abs(unit(p)) for p in grid.points(fam.f0))
-        if low <= 1e-8:
-            raise UnitVanishes(f"min |h| = {low:.3e} on the grid")
+    low = min(abs(unit(p)) for p in grid.points(fam.f0))
+    if low <= 1e-8:
+        raise UnitVanishes(f"min |h| = {low:.3e} on the grid")
     if unit.den is not None:
         raise ValueError("twisting unit must be polynomial")
 

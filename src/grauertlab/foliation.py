@@ -18,7 +18,7 @@ import numpy as np
 
 from .density import DensityJet, gaussian_conformal, pullback_density_jet
 from .errors import DegenerateDirection, SingularField
-from .holomorphic import HoloMap, Polynomial, _as_point, eval_jet
+from .holomorphic import HoloMap, Polynomial, _as_point, _json_object, eval_jet
 
 #: |X(p)| below this counts as a singular point of the field
 FIELD_TOL = 1e-10
@@ -58,7 +58,8 @@ class VectorField:
         return {"components": [c.to_json() for c in self.components]}
 
     @staticmethod
-    def from_json(obj: dict) -> "VectorField":
+    def from_json(obj) -> "VectorField":
+        _json_object(obj, {"components"}, "vector field")
         return VectorField(tuple(HoloMap.from_json(c) for c in obj["components"]))
 
 

@@ -33,6 +33,23 @@ def _as_point(p, n: int) -> tuple[complex, ...]:
     return p
 
 
+def _json_object(obj, keys: set, what: str) -> dict:
+    """``obj``, if it is a descriptor object whose keys all lie in ``keys``."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, not {obj!r}")
+    if extra := set(obj) - keys:
+        raise ValueError(f"unknown keys {sorted(extra)} in {what}")
+    return obj
+
+
+def _json_int(v) -> int:
+    """``v`` as an int, if ``int`` leaves it unchanged; ``ValueError`` otherwise."""
+    i = int(v)
+    if i != v:
+        raise ValueError(f"{v!r} is not an integer")
+    return i
+
+
 @dataclass(frozen=True)
 class Polynomial:
     """Sparse multivariate polynomial: multi-index exponent -> coefficient.
@@ -69,9 +86,6 @@ class Polynomial:
         return Polynomial(n, {(0,) * n: complex(c)})
 
     # -- algebra ------------------------------------------------------------
-
-    def __call__(self, p) -> complex:
-        return _poly_jet(self, _as_point(p, self.n), 0)[(0,) * self.n]
 
     def __hash__(self):
         # consistent with ==, which compares terms in any order
@@ -132,15 +146,22 @@ class Polynomial:
         }
 
     @staticmethod
-    def from_json(obj: dict) -> "Polynomial":
-        n = int(obj["n"])
+    def term_from_json(t, parts=("",)) -> tuple[tuple[int, ...], list[complex]]:
+        """A descriptor term's exponent and, for each suffix in ``parts``, the
+        coefficient read from ("re" + suffix, "im" + suffix), absent parts 0."""
+        _json_object(t, {"exp"} | {k + s for s in parts for k in ("re", "im")}, "term")
+        exp = tuple(_json_int(e) for e in t["exp"])
+        return exp, [complex(float(t.get("re" + s, 0.0)), float(t.get("im" + s, 0.0)))
+                     for s in parts]
+
+    @staticmethod
+    def from_json(obj) -> "Polynomial":
+        _json_object(obj, {"n", "terms"}, "polynomial")
         terms = {}
         for t in obj["terms"]:
-            exp = tuple(int(e) for e in t["exp"])
-            terms[exp] = terms.get(exp, 0) + complex(
-                float(t.get("re", 0.0)), float(t.get("im", 0.0))
-            )
-        return Polynomial(n, terms)
+            exp, (c,) = Polynomial.term_from_json(t)
+            terms[exp] = terms.get(exp, 0) + c
+        return Polynomial(_json_int(obj["n"]), terms)
 
 
 @dataclass(frozen=True)
@@ -176,9 +197,6 @@ class HoloMap:
     def constant(n: int, c: complex) -> "HoloMap":
         return HoloMap(Polynomial.constant(n, c))
 
-    def scaled(self, c: complex) -> "HoloMap":
-        return HoloMap(self.num.scaled(c), self.den)
-
     def __call__(self, p) -> complex:
         return eval_jet(self, p, 0).value
 
@@ -188,11 +206,11 @@ class HoloMap:
         return {"num": self.num.to_json(), "den": self.den.to_json()}
 
     @staticmethod
-    def from_json(obj: dict) -> "HoloMap":
-        if "num" in obj:
-            return HoloMap(
-                Polynomial.from_json(obj["num"]), Polynomial.from_json(obj["den"])
-            )
+    def from_json(obj) -> "HoloMap":
+        if isinstance(obj, dict) and "num" in obj:
+            _json_object(obj, {"num", "den"}, "quotient map")
+            return HoloMap(Polynomial.from_json(obj["num"]),
+                           Polynomial.from_json(obj["den"]))
         return HoloMap(Polynomial.from_json(obj))
 
 
@@ -247,7 +265,6 @@ class Jet(NamedTuple):
     """
 
     point: tuple[complex, ...]
-    order: int
     coeffs: Mapping[tuple[int, ...], complex]
 
     @property
@@ -334,7 +351,7 @@ def eval_jet(f: HoloMap, p, order: int) -> Jet:
     z = _as_point(p, f.n)
     num = _poly_jet(f.num, z, order)
     if f.den is None:
-        return Jet(z, order, num)
+        return Jet(z, num)
     den = _poly_jet(f.den, z, order)
     d0 = den[(0,) * f.n]
     if d0 == 0:
@@ -346,4 +363,4 @@ def eval_jet(f: HoloMap, p, order: int) -> Jet:
         for binom, beta, diff in steps:
             acc -= binom * q[beta] * den[diff]
         q[alpha] = acc / d0
-    return Jet(z, order, q)
+    return Jet(z, q)

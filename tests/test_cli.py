@@ -227,6 +227,49 @@ def test_unknown_keys_rejected(workdir):
     assert code == 2
 
 
+def _edit_term(i, old, new, value=None):
+    """Descriptor edit: term ``i`` of a map, or of a family's template, loses
+    key ``old`` and gets key ``new``, with ``old``'s value or with ``value``."""
+    def edit(obj):
+        terms = obj["fj"]["template"]["terms"] if "fj" in obj else obj["terms"]
+        v = terms[i].pop(old)
+        terms[i][new] = v if value is None else value
+        return obj
+    return edit
+
+
+#: the descriptor a defect is written into, and the edit that makes it
+SCHEMA_DEFECTS = {
+    "map is a number": ("f1.json", lambda obj: 3),
+    "map is null": ("f1.json", lambda obj: None),
+    # dropped: hsc would read z, not z - 1
+    "map term key": ("f1.json", _edit_term(1, "re", "Re")),
+    # dropped: every gap would read 0
+    "template term key": ("fam1.json", _edit_term(1, "re_j", "rej")),
+    # read as 1 and as 3
+    "exponent 1.7": ("f1.json", _edit_term(0, "exp", "exp", [1.7])),
+    "resolution 3.9": ("grid1.json", lambda obj: {**obj, "resolution": 3.9}),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(SCHEMA_DEFECTS))
+def test_descriptor_schema_defect_exit_2_no_output(workdir, capsys, defect):
+    name, edit = SCHEMA_DEFECTS[defect]
+    bad = workdir / "bad.json"
+    json.dump(edit(json.load(open(workdir / name))), open(bad, "w"))
+    if name == "f1.json":
+        argv = ["hsc", "--f", str(bad), "--p", "3", "--V", "1"]
+    else:
+        files = {"fam1.json": workdir / "fam1.json", "grid1.json": workdir / "grid1.json",
+                 name: bad}
+        argv = ["converge-metric", "--family", str(files["fam1.json"]),
+                "--grid", str(files["grid1.json"])]
+    out = workdir / "never.out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "descriptor" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_domain_error_exit_2(workdir, capsys):
     # point on the divisor surfaces the offending point, exit 2
     code = main(["hsc", "--f", str(workdir / "f2.json"), "--p", "1", "1",

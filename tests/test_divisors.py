@@ -71,7 +71,7 @@ def test_grid_validation():
 
 def test_twisted_identity_unit():
     fam = family_1d()
-    tfam = twisted_family(fam, HoloMap.constant(1, 1.0))
+    tfam = twisted_family(fam, HoloMap.constant(1, 1.0), grid_1d())
     for j in (1, 8):
         assert tfam.member(j).num.terms == fam.member(j).num.terms
 
@@ -79,7 +79,7 @@ def test_twisted_identity_unit():
 def test_twisted_constant_unit_converges():
     fam = family_1d()
     grid = grid_1d()
-    tfam = twisted_family(fam, HoloMap.constant(1, 2.0))
+    tfam = twisted_family(fam, HoloMap.constant(1, 2.0), grid)
     # different defining function (metric differs from the untwisted one)...
     assert sup_metric_gap(
         DivisorFamily(fam.f0, tfam.member_fn, fam.J), grid, 8
@@ -162,7 +162,7 @@ def test_n2_canonical_grids_nonempty():
 
 
 def twisted_family_1d(J=FAMILY_INDICES):
-    return twisted_family(family_1d(J), HoloMap.poly(1, {(0,): 2.0, (1,): 1.0}))
+    return twisted_family(family_1d(J), HoloMap.poly(1, {(0,): 2.0, (1,): 1.0}), grid_1d())
 
 
 #: family, grid and the constant field of its leaf gap
@@ -233,28 +233,42 @@ def test_each_grid_gets_its_own_limit_side():
 @pytest.mark.parametrize("kind, target", [("metric", "metric_matrix"),
                                           ("leaf", "leaf_curvature")])
 def test_limit_side_exception_leaves_no_memo(monkeypatch, kind, target):
+    # the f_0 side is computed whole before any f_j, and kept once complete
     fam, g = family_1d(), grid_1d()
     X = VectorField.constant([1.0])
+    n_pts = len(g.points(fam.f0))
     real = getattr(divisors, target)
     seen = []
+    raise_on = None
 
     def failing(f, *args):
         seen.append(f)
-        if f is fam.f0 and len(seen) > 200:
-            raise OnDivisor("injected on the f_0 side")
+        if raise_on is not None and raise_on(f):
+            raise OnDivisor("injected")
         return real(f, *args)
 
     monkeypatch.setattr(divisors, target, failing)
+    # an f_0 side that raises part way keeps nothing, and no f_j is evaluated
+    raise_on = lambda f: f is fam.f0 and len(seen) > 50
     for j in (1, 8):
         seen.clear()
         with pytest.raises(OnDivisor, match="injected"):
             _gap(kind, fam, g, X, j)
-        # f_j before f_0 at every point, up to the injected failure
-        assert seen[-2] is not fam.f0 and seen[-1] is fam.f0
-        assert seen[:4:2] == [seen[0]] * 2 and seen[1:4:2] == [fam.f0] * 2
+        assert len(seen) == 51 and all(f is fam.f0 for f in seen)
         assert fam._limit_sides == {}
-    monkeypatch.setattr(divisors, target, real)
-    assert _bits([_gap(kind, fam, g, X, 8)]) == _bits([_gap(kind, family_1d(), g, X, 8)])
+    # an f_j side that raises after a complete f_0 side leaves that side kept
+    raise_on = lambda f: f is not fam.f0
+    seen.clear()
+    with pytest.raises(OnDivisor, match="injected"):
+        _gap(kind, fam, g, X, 8)
+    assert len(seen) == n_pts + 1 and all(f is fam.f0 for f in seen[:-1])
+    assert len(fam._limit_sides) == 1
+    # ... and a later call reads it, with the bits of a fresh family
+    raise_on = None
+    seen.clear()
+    got = _gap(kind, fam, g, X, 8)
+    assert len(seen) == n_pts and all(f is not fam.f0 for f in seen)
+    assert _bits([got]) == _bits([_gap(kind, family_1d(), g, X, 8)])
     assert len(fam._limit_sides) == 1
 
 
