@@ -2,9 +2,10 @@
 
 Design contract: exit 0 on success (and all-pass for ``verify``), exit 1 on
 a failed verification check, exit 2 on configuration, IO, domain or
-floating-point errors.  Output files are written atomically (temp file +
-rename) and floats are printed with 17 significant digits so every CSV
-round-trips to identical doubles.
+floating-point errors.  Bad arguments, descriptors and output paths raise
+``ValueError``, the one input-error type.  Output files are written
+atomically (temp file + rename) and floats are printed with 17 significant
+digits so every CSV round-trips to identical doubles.
 """
 
 from __future__ import annotations
@@ -38,10 +39,6 @@ from .verify import DEFAULT_SEED, SUITES, run_suite
 FLOAT_FMT = "%.17g"
 
 
-class ConfigError(Exception):
-    """Invalid configuration, arguments, or input files (exit code 2)."""
-
-
 def _fmt(x: float) -> str:
     return FLOAT_FMT % float(x)
 
@@ -50,7 +47,7 @@ def _parse_complex(tok: str) -> complex:
     try:
         return complex(tok.replace(" ", ""))
     except ValueError as exc:
-        raise ConfigError(f"cannot parse complex number {tok!r}") from exc
+        raise ValueError(f"cannot parse complex number {tok!r}") from exc
 
 
 def _parse_vector(toks: list[str]) -> list[complex]:
@@ -64,11 +61,11 @@ def _load(path: str, what: str, from_json):
         with open(path) as fh:
             obj = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read JSON file {path}: {exc}") from exc
+        raise ValueError(f"cannot read JSON file {path}: {exc}") from exc
     try:
         return from_json(obj)
     except (KeyError, ValueError, TypeError) as exc:
-        raise ConfigError(f"bad {what} descriptor {path}: {exc}") from exc
+        raise ValueError(f"bad {what} descriptor {path}: {exc}") from exc
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -87,20 +84,18 @@ def _emit(text: str, out: str | None) -> None:
             os.unlink(tmp)
             raise
     except OSError as exc:
-        raise ConfigError(f"cannot write {out}: {exc}") from exc
+        raise ValueError(f"cannot write {out}: {exc}") from exc
 
 
-def emit_grid(rows: list[dict], schema: list[str], out: str | None) -> None:
-    """CSV with header, RFC-4180 quoting, LF endings, round-trip floats."""
+def emit_grid(rows: list, schema: list[str], out: str | None) -> None:
+    """CSV of ``rows``, each in ``schema`` order: RFC-4180, LF, round-trip floats."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(schema)
     for row in rows:
-        if set(row) != set(schema):
-            raise ConfigError(f"row keys {sorted(row)} do not match schema {schema}")
-        w.writerow(
-            [_fmt(row[c]) if isinstance(row[c], float) else row[c] for c in schema]
-        )
+        if len(row) != len(schema):
+            raise ValueError(f"row of {len(row)} values for schema {schema}")
+        w.writerow([_fmt(x) if isinstance(x, float) else x for x in row])
     _emit(buf.getvalue(), out)
 
 
@@ -108,28 +103,31 @@ def _emit_json(obj: dict, out: str | None) -> None:
     _emit(json.dumps(obj, indent=2, sort_keys=True) + "\n", out)
 
 
+def _point_columns(n: int) -> list[str]:
+    """CSV columns re1..reN, im1..imN of a point of C^n, filled by _point_values."""
+    return [f"re{i+1}" for i in range(n)] + [f"im{i+1}" for i in range(n)]
+
+
+def _point_values(p) -> list[float]:
+    return [z.real for z in p] + [z.imag for z in p]
+
+
 # -- subcommands -------------------------------------------------------------
 
 def _cmd_u_table(a) -> int:
     if a.points < 2 or not 0 < a.t_min < a.t_max:
-        raise ConfigError("need points >= 2 and 0 < t-min < t-max")
-    rows = []
-    for t in np.geomspace(a.t_min, a.t_max, a.points):
-        j = u_jet(float(t))
-        rows.append({"t": j.t, "u": j.u, "up": j.up, "upp": j.upp})
+        raise ValueError("need points >= 2 and 0 < t-min < t-max")
+    rows = [u_jet(float(t)) for t in np.geomspace(a.t_min, a.t_max, a.points)]
     emit_grid(rows, ["t", "u", "up", "upp"], a.out)
     return 0
 
 
 def _cmd_kg_grid(a) -> int:
     if not 0 < a.rmin < a.rmax or a.angles < 1 or a.radii < 1:
-        raise ConfigError("need 0 < rmin < rmax, angles >= 1, radii >= 1")
-    rows = []
-    for r in np.geomspace(a.rmin, a.rmax, a.radii):
-        for q in range(a.angles):
-            z = r * np.exp(2j * np.pi * q / a.angles)
-            rows.append({"re": float(z.real), "im": float(z.imag),
-                         "Kg": grauert_curvature(z)})
+        raise ValueError("need 0 < rmin < rmax, angles >= 1, radii >= 1")
+    zs = (r * np.exp(2j * np.pi * q / a.angles)
+          for r in np.geomspace(a.rmin, a.rmax, a.radii) for q in range(a.angles))
+    rows = [(float(z.real), float(z.imag), grauert_curvature(z)) for z in zs]
     emit_grid(rows, ["re", "im", "Kg"], a.out)
     return 0
 
@@ -178,14 +176,8 @@ def _cmd_curvature_grid(a) -> int:
     f = _load(a.f, "map", HoloMap.from_json)
     grid = _load(a.grid, "grid", CompactGrid.from_json)
     V = _parse_vector(a.V)
-    rows = []
-    schema = [f"re{i+1}" for i in range(f.n)] + [f"im{i+1}" for i in range(f.n)] + ["K"]
-    for p in grid.points(f):
-        row = {f"re{i+1}": z.real for i, z in enumerate(p)}
-        row.update({f"im{i+1}": z.imag for i, z in enumerate(p)})
-        row["K"] = holo_sectional_curvature(f, p, V)
-        rows.append(row)
-    emit_grid(rows, schema, a.out)
+    rows = [(*_point_values(p), holo_sectional_curvature(f, p, V)) for p in grid.points(f)]
+    emit_grid(rows, _point_columns(f.n) + ["K"], a.out)
     return 0
 
 
@@ -202,29 +194,16 @@ def _cmd_leaf_approach(a) -> int:
     base = _parse_vector(a.base)
     direction = _parse_vector(a.direction)
     path = geometric_path(base, direction, start=a.start, ratio=a.ratio, steps=a.steps)
-    recs = divisor_approach(f, base, path)
-    rows = []
-    n = f.n
-    schema = (["m"] + [f"re{i+1}" for i in range(n)] + [f"im{i+1}" for i in range(n)]
-              + ["K", "gap"])
-    for r in recs:
-        row = {"m": r["m"]}
-        row.update({f"re{i+1}": z.real for i, z in enumerate(r["z"])})
-        row.update({f"im{i+1}": z.imag for i, z in enumerate(r["z"])})
-        row["K"] = r["K"]
-        row["gap"] = r["gap"]
-        rows.append(row)
-    emit_grid(rows, schema, a.out)
+    rows = [(r["m"], *_point_values(r["z"]), r["K"], r["gap"])
+            for r in divisor_approach(f, base, path)]
+    emit_grid(rows, ["m"] + _point_columns(f.n) + ["K", "gap"], a.out)
     return 0
 
 
 def _cmd_converge_metric(a) -> int:
     fam = _load(a.family, "family", DivisorFamily.from_json)
     grid = _load(a.grid, "grid", CompactGrid.from_json)
-    rows = [
-        {"j": j, "gap": sup_metric_gap(fam, grid, j), "delta": grid.delta}
-        for j in fam.J
-    ]
+    rows = [(j, sup_metric_gap(fam, grid, j), grid.delta) for j in fam.J]
     emit_grid(rows, ["j", "gap", "delta"], a.out)
     return 0
 
@@ -233,10 +212,7 @@ def _cmd_converge_curvature(a) -> int:
     fam = _load(a.family, "family", DivisorFamily.from_json)
     grid = _load(a.grid, "grid", CompactGrid.from_json)
     X = _load(a.X, "field", VectorField.from_json)
-    rows = [
-        {"j": j, "gap": curvature_gap(fam, X, grid, j), "delta": grid.delta}
-        for j in fam.J
-    ]
+    rows = [(j, curvature_gap(fam, X, grid, j), grid.delta) for j in fam.J]
     emit_grid(rows, ["j", "gap", "delta"], a.out)
     return 0
 
@@ -354,9 +330,6 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (GrauertError, ArithmeticError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

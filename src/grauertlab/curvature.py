@@ -5,15 +5,20 @@ curvature, which is the guarded conformal curvature of the pullback density.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .density import gaussian_conformal, pullback_density_jet
-from .errors import ZeroVector
+from .errors import DomainOverflow, ZeroVector
 from .holomorphic import HoloMap, _as_point, eval_jet
 from .metric import MetricDerivatives, _as_direction, metric_eval, metric_matrix_jet
 
 #: imaginary residue allowed on algebraically-real quantities
 REAL_RESIDUE_TOL = 1e-8
+
+#: hsc takes V as given where phi(p, V) lies here: |V|^4 and phi^2 are normal doubles
+_PHI_BAND = (2.0**-400, 2.0**400)
 
 
 def kahler_tensor(md: MetricDerivatives) -> np.ndarray:
@@ -31,11 +36,27 @@ def kahler_tensor(md: MetricDerivatives) -> np.ndarray:
     return R
 
 
+def _ordinary_direction(f: HoloMap, p, V: np.ndarray) -> tuple[np.ndarray, float]:
+    """V and phi(p, V) where phi lies in _PHI_BAND; elsewhere V scaled by the
+    power of two that puts max |V_i| in [1, 2), and phi there."""
+    try:
+        phi = metric_eval(f, p, V)
+    except DomainOverflow:
+        phi = math.inf
+    if _PHI_BAND[0] <= phi <= _PHI_BAND[1]:
+        return V, phi
+    # two halves of the exponent, so neither power of two overflows
+    k = 1 - math.frexp(float(np.abs(V).max()))[1]
+    V = V * math.ldexp(1.0, k // 2) * math.ldexp(1.0, k - k // 2)
+    return V, metric_eval(f, p, V)
+
+
 def holo_sectional_curvature(f: HoloMap, p, V) -> float:
     """Holomorphic sectional curvature K(p, V) = 2 R(V,V.,V,V.) / phi(p,V)^2.
 
-    Scale-invariant in V; normalized so the n = 1 value is the Gaussian
-    curvature of the conformal density.  Repeated calls at one point, as in
+    Scale-invariant in V bit for bit: V outside _PHI_BAND is first scaled by
+    a power of two.  Normalized so the n = 1 value is the Gaussian curvature
+    of the conformal density.  Repeated calls at one point, as in
     :func:`sup_sectional_curvature`, reuse the map's record of the point and
     its curvature tensor.
     """
@@ -49,11 +70,11 @@ def holo_sectional_curvature(f: HoloMap, p, V) -> float:
         R = kahler_tensor(md)
         R.setflags(write=False)
         f._memo["R"] = R
+    V, phi = _ordinary_direction(f, p, V)
     num = np.einsum("ijkl,i,j,k,l->", R, V, np.conj(V), V, np.conj(V))
     if abs(num.imag) > REAL_RESIDUE_TOL * max(1.0, abs(num.real)):
         raise ArithmeticError(f"sectional numerator not real: {num}")
-    denom = metric_eval(f, p, V) ** 2
-    return float(2.0 * num.real / denom)
+    return float(2.0 * num.real / phi**2)
 
 
 hsc = holo_sectional_curvature

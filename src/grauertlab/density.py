@@ -41,6 +41,7 @@ ROUNDING_TOL = 1e-10
 
 _EPS = float(np.finfo(float).eps)
 _LOG_DOMAIN = "a log-domain form of the profile would lift this limit"
+_H3_OVERFLOWS = "K = -2 (h ddbar - |d|^2) / h^3 overflows at {}; " + _LOG_DOMAIN
 
 
 def _u_taylor_coeffs(order: int) -> tuple[float, ...]:
@@ -77,7 +78,7 @@ class UJet(NamedTuple):
 
 
 def u_jet(t: float) -> UJet:
-    """Profile jet, Taylor branch near t = 1, closed form elsewhere."""
+    """Profile jet as Python floats: Taylor branch near t = 1, closed form elsewhere."""
     t = float(t)
     if not t >= T_MIN:
         if math.isnan(t):
@@ -99,9 +100,7 @@ def u_jet(t: float) -> UJet:
         u = s / D
         up = (D - s * (L + 1.0)) / D / D
         upp = -s / t / D / D - 2.0 * (L + 1.0) * up / D
-    # numpy scalars, because the consumers square them with **: on Python
-    # floats that raises OverflowError where numpy saturates to inf
-    return UJet(t, np.float64(u), np.float64(up), np.float64(upp))
+    return UJet(t, u, up, upp)
 
 
 def _horner(row: tuple[float, ...], s: float) -> float:
@@ -112,7 +111,7 @@ def _horner(row: tuple[float, ...], s: float) -> float:
 
 
 def _pow(x: float, n: int) -> float:
-    """x**n >= 0 on a Python float, saturating to inf where it overflows."""
+    """x**n >= 0 on a Python float, saturating to inf, as numpy's ** does, without a warning."""
     try:
         return x**n
     except OverflowError:
@@ -122,13 +121,12 @@ def _pow(x: float, n: int) -> float:
 def gamma_jet(t: float) -> tuple[float, float, float]:
     """gamma(t) = 1 + t u^2(t) with first and second derivatives.
 
-    Python float arithmetic, with _pow for the squares: the same IEEE
-    operations (** included) as on numpy scalars, without their overflow
-    warnings, which -W error turns into exceptions.  The values are returned
-    as numpy scalars, which keep saturating when a caller cubes them.
+    Python float arithmetic, returned as numpy scalars: the complex chains of
+    :func:`pullback_density_jet` then multiply as numpy complex, which rounds
+    unlike Python complex (thm51's final |K+4| gap at a zero of order 2 would
+    move from 1.2308376540204335e-11 to 1.0663470106919704e-11).
     """
-    j = u_jet(t)
-    t, u, up, upp = j.t, float(j.u), float(j.up), float(j.upp)
+    t, u, up, upp = u_jet(t)
     u2 = _pow(u, 2)
     g = 1.0 + t * u2
     gp = u2 + 2.0 * t * u * up
@@ -179,7 +177,7 @@ def gaussian_conformal(j: DensityJet) -> float:
     h3 = _pow(j.h, 3)
     K = float(-2.0 * num / h3)
     if math.isinf(h3) or not math.isfinite(K):
-        raise DomainOverflow(f"K = -2 (h ddbar - |d|^2) / h^3 overflows at {j.z}; {_LOG_DOMAIN}")
+        raise DomainOverflow(_H3_OVERFLOWS.format(j.z))
     bound = 2.0 * _EPS * (j.h * abs(j.ddbar) + _pow(abs(j.d), 2)) / h3
     if bound > ROUNDING_TOL * max(1.0, abs(K)):
         raise LeafIllConditioned(f"rounding bound {bound:.3e} on curvature {K:.6g} at {j.z}")
@@ -195,17 +193,21 @@ def pullback_density_jet(z: complex, g0: complex, g1: complex, g2: complex,
     holomorphic vector chi and their first derivatives.  The jet follows
     from the chain rule through gamma; chi = (1) gives the one-variable
     pullback density, chi = the field along a leaf gives the leaf density.
-    Where :func:`_finite_gamma` puts g0 on the divisor, OnDivisor names ``z``.
+    Where :func:`_finite_gamma` puts g0 on the divisor, OnDivisor names ``z``;
+    where h^3 >= |g'|^6 overflows, DomainOverflow does, before d and ddbar.
     """
     t, (g, gp, gpp) = _finite_gamma(g0, 2, z)
-    s = abs(g1) ** 2
-    h = g * s + float(np.vdot(chi0, chi0).real)
+    s = _pow(float(abs(g1)), 2)
+    h = float(g) * s + float(np.vdot(chi0, chi0).real)
+    if math.isinf(_pow(h, 3)):
+        raise DomainOverflow(_H3_OVERFLOWS.format(z))
     d = gp * g1 * g0.conjugate() * s + g * g2 * g1.conjugate() + np.dot(chi1, np.conj(chi0))
+    s2 = _pow(s, 2)
     ddbar = (
-        gpp * t * s**2
-        + gp * s**2
+        gpp * t * s2
+        + gp * s2
         + 2.0 * (gp * g1**2 * (g0 * g2).conjugate()).real
-        + g * abs(g2) ** 2
+        + g * _pow(float(abs(g2)), 2)
         + float(np.vdot(chi1, chi1).real)
     )
     d = complex(d)
@@ -226,24 +228,24 @@ def hk_density_jet(k: int, z: complex) -> DensityJet:
     try:
         s = abs(z) ** 2
         t = s**k
-        j = u_jet(t)
-        u, up, upp = j.u, j.up, j.upp
+        _, u, up, upp = u_jet(t)
+        u2 = _pow(u, 2)
         k2 = float(k * k)
-        h = k2 * (s ** (k - 1)) * (1.0 + t * u**2)
+        h = k2 * (s ** (k - 1)) * (1.0 + t * u2)
         d = (
             k2
             * np.conj(z)
             * (
                 (k - 1) * s ** (k - 2)
-                + (2 * k - 1) * s ** (2 * k - 2) * u**2
+                + (2 * k - 1) * s ** (2 * k - 2) * u2
                 + 2 * k * s ** (3 * k - 2) * u * up
             )
         )
         ddbar = k2 * (
             (k - 1) ** 2 * s ** (k - 2)
-            + (2 * k - 1) ** 2 * s ** (2 * k - 2) * u**2
+            + (2 * k - 1) ** 2 * s ** (2 * k - 2) * u2
             + 2 * k * (5 * k - 2) * s ** (3 * k - 2) * u * up
-            + 2 * k2 * s ** (4 * k - 2) * (up**2 + u * upp)
+            + 2 * k2 * s ** (4 * k - 2) * (_pow(up, 2) + u * upp)
         )
     except OverflowError:
         raise DomainOverflow(f"the density jet of h_{k} overflows at {z}; {_LOG_DOMAIN}") from None
@@ -254,7 +256,7 @@ def m_factor(t: float) -> float:
     """Numerator factor of the Grauert curvature as a function of t = |z|^2.
 
     DomainOverflow where 2 t^3 overflows a Python float (t >~ 4.48e102, so
-    |z| >~ 2.1165e51), checked before the numpy terms can meet inf - inf.
+    |z| >~ 2.1165e51), checked before the terms can meet inf - inf.
     """
     try:
         t2, t3 = t**2, t**3
@@ -265,16 +267,16 @@ def m_factor(t: float) -> float:
             f"M(t) overflows at t = {t!r} (|z| = {math.sqrt(t):.3e}) in its t-domain"
             f" form; {_LOG_DOMAIN}"
         ) from None
-    j = u_jet(t)
-    u, up, upp = j.u, j.up, j.upp
+    _, u, up, upp = u_jet(t)
+    u2, u3, up2 = _pow(u, 2), _pow(u, 3), _pow(up, 2)
     return (
-        u**2
+        u2
         + 6.0 * t * u * up
-        + 2.0 * t2 * up**2
+        + 2.0 * t2 * up2
         + 2.0 * t2 * u * upp
-        + 2.0 * t2 * u**3 * up
-        - 2.0 * t3 * u**2 * up**2
-        + 2.0 * t3 * u**3 * upp
+        + 2.0 * t2 * u3 * up
+        - 2.0 * t3 * u2 * up2
+        + 2.0 * t3 * u3 * upp
     )
 
 
@@ -289,7 +291,7 @@ def grauert_curvature(z: complex) -> float:
         raise ValueError("curvature undefined at z = 0")
     t = abs(z) ** 2
     g, _, _ = gamma_jet(t)
-    return -2.0 * m_factor(t) / g**3
+    return -2.0 * m_factor(t) / _pow(float(g), 3)
 
 
 def power_curvature(k: int, z: complex) -> float:

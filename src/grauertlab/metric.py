@@ -35,12 +35,13 @@ from __future__ import annotations
 
 import cmath
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .density import _finite_gamma
-from .errors import NonFiniteInput, SolveFailure
+from .density import _finite_gamma, _pow
+from .errors import DomainOverflow, NonFiniteInput, SolveFailure
 from .holomorphic import HoloMap, eval_jet
 
 #: Sherman-Morrison conditioning guard before declaring failure
@@ -81,11 +82,13 @@ def _gradient_and_gamma(f: HoloMap, z) -> tuple[np.ndarray, float]:
 
 
 def metric_eval(f: HoloMap, z, V) -> float:
-    """Metric value phi(z, V) = gamma(|f|^2) |df(z)(V)|^2 + |V|^2."""
+    """phi(z, V) = gamma(|f|^2) |df(z)(V)|^2 + |V|^2; DomainOverflow where it overflows."""
     V = _as_direction(V)
     a, g = _gradient_and_gamma(f, z)
-    dfv = np.dot(a, V)
-    return float(g * abs(dfv) ** 2 + np.vdot(V, V).real)
+    phi = float(g) * _pow(float(abs(np.dot(a, V))), 2) + float(np.vdot(V, V).real)
+    if math.isinf(phi):
+        raise DomainOverflow(f"phi(z, V) = gamma |df(z)(V)|^2 + |V|^2 overflows at {z}")
+    return phi
 
 
 def metric_matrix(f: HoloMap, z) -> np.ndarray:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .curvature import hsc, k_plus, line_curvature
-from .density import gamma_jet, grauert_curvature, m_factor, power_curvature, u_jet
+from .density import grauert_curvature, m_factor, power_curvature, u_jet
 from .divisors import (
     LIMINF_TOL,
     CompactGrid,

@@ -255,14 +255,14 @@ def errstate_u_jet(t: float) -> UJet:
 
 
 def numpy_gamma_jet(t: float) -> tuple:
-    """:func:`grauertlab.density.gamma_jet` on the numpy scalars of
-    :func:`grauertlab.density.u_jet`, with their overflow and invalid-value
-    warnings silenced by ``np.errstate``."""
-    j = u_jet(t)
+    """:func:`grauertlab.density.gamma_jet` on :func:`grauertlab.density.u_jet`'s
+    values as numpy scalars, with their overflow and invalid-value warnings
+    silenced by ``np.errstate``."""
+    t, u, up, upp = (np.float64(x) for x in u_jet(t))
     with np.errstate(over="ignore", invalid="ignore"):
-        g = 1.0 + t * j.u**2
-        gp = j.u**2 + 2.0 * t * j.u * j.up
-        gpp = 4.0 * j.u * j.up + 2.0 * t * (j.up**2 + j.u * j.upp)
+        g = 1.0 + t * u**2
+        gp = u**2 + 2.0 * t * u * up
+        gpp = 4.0 * u * up + 2.0 * t * (up**2 + u * upp)
     return g, gp, gpp
 
 

@@ -94,6 +94,15 @@ def test_kg_grid_overflow_exit_2_no_output(workdir, capsys):
     assert not out.exists()
 
 
+# M(t)'s terms overflow below |z| ~ 1e-39, and must do so without a warning
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_kg_grid_near_zero_writes_without_warning(workdir):
+    out = workdir / "kg.csv"
+    assert main(["kg-grid", "--rmin", "1e-100", "--rmax", "1", "--angles", "2",
+                 "--radii", "5", "--out", str(out)]) == 0
+    assert len(_rows(out)) == 10
+
+
 def test_determinism_byte_identical(workdir):
     a, b = workdir / "a.csv", workdir / "b.csv"
     args = ["kg-grid", "--rmin", "0.5", "--rmax", "2", "--angles", "8"]
@@ -110,6 +119,39 @@ def test_metric_eval_json(workdir):
     assert set(rep) == {"phi", "G", "detG"}
     assert abs(rep["phi"] - (2 * 1 + 1)) < 1e-12  # gamma(1)=2, |df(V)|^2=1
     assert abs(rep["detG"] - 11.0) < 1e-12
+
+
+@pytest.mark.parametrize("v", ["1e-100", "1e-78", "1e77", "1e200"])
+def test_hsc_tiny_and_huge_directions_exit_0(workdir, v):
+    # |V|^4 underflows to a subnormal or 0 (1e-78, 1e-100), and phi^2 or
+    # phi overflows (1e77, 1e200)
+    out = workdir / "h.json"
+    assert main(["hsc", "--f", str(workdir / "f2.json"), "--p", "2", "1",
+                 "--V", v, v, "--out", str(out)]) == 0
+    K = json.load(open(out))["K"]
+    ref = hsc(HoloMap.poly(2, {(1, 1): 1, (0, 0): -1}), (2, 1), (1, 1))
+    assert abs(K - ref) < 1e-15 * abs(ref)
+
+
+def test_curvature_grid_tiny_direction_matches_unit(workdir):
+    # |V|^4 underflows to 0 at V = 1e-100
+    outs = [workdir / "a.csv", workdir / "b.csv"]
+    for v, out in zip(["1e-100", "1"], outs):
+        assert main(["curvature-grid", "--f", str(workdir / "f1.json"), "--grid",
+                     str(workdir / "grid1.json"), "--V", v, "--out", str(out)]) == 0
+    tiny, unit = (_rows(out) for out in outs)
+    assert len(tiny) == len(unit) > 0
+    for a, b in zip(tiny, unit):
+        assert abs(float(a["K"]) - float(b["K"])) <= 1e-15 * abs(float(b["K"]))
+
+
+def test_metric_eval_overflow_exit_2_no_output(workdir, capsys):
+    # phi overflows: no Infinity is written
+    out = workdir / "m.json"
+    assert main(["metric-eval", "--f", str(workdir / "f2.json"), "--z", "2", "1",
+                 "--V", "1e200", "0", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "error: DomainOverflow: " in capsys.readouterr().err
 
 
 def test_hsc_and_kplus(workdir):
@@ -278,8 +320,6 @@ def test_domain_error_exit_2(workdir, capsys):
     assert "OnDivisor" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
 def test_metric_eval_gamma_overflow_exit_2_no_output(workdir, capsys):
     # gamma(|f|^2) overflows at z = 1e-80 on f = z: exit 2, no NaN written
     json.dump(HoloMap.poly(1, {(1,): 1}).to_json(), open(workdir / "fz.json", "w"))
@@ -291,8 +331,6 @@ def test_metric_eval_gamma_overflow_exit_2_no_output(workdir, capsys):
     assert "OnDivisor" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
 def test_hsc_gamma_overflow_exit_2_no_output(workdir, capsys):
     # gamma(|f|^2) overflows at p = (1e-100, 0) on f = z1 + z2: exit 2 with
     # OnDivisor, as metric-eval gives, not a conditioning failure

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grauertlab.curvature import (
+    _ordinary_direction,
     gaussian_conformal,
     hsc,
     k_plus,
@@ -14,8 +15,14 @@ from grauertlab.curvature import (
     line_curvature,
 )
 from grauertlab.density import DensityJet, pullback_density_jet
-from grauertlab.errors import GrauertError, LeafIllConditioned, OnDivisor, ZeroVector
-from grauertlab.foliation import VectorField, integrate_leaf, leaf_density_jet
+from grauertlab.errors import (
+    DomainOverflow,
+    GrauertError,
+    LeafIllConditioned,
+    OnDivisor,
+    ZeroVector,
+)
+from grauertlab.foliation import VectorField, integrate_leaf, leaf_curvature, leaf_density_jet
 from grauertlab.holomorphic import HoloMap, Polynomial, eval_jet
 from grauertlab.metric import metric_matrix_jet
 from oracles import (
@@ -118,6 +125,18 @@ def test_scale_invariance(salt):
         assert abs(hsc(f, p, lam * np.asarray(V)) - base) < 1e-10 * max(1, abs(base))
 
 
+@pytest.mark.parametrize("scale", [1.0, 1.75])
+@pytest.mark.parametrize("case", list(MEMO_CASES))
+def test_hsc_bit_identical_at_power_of_two_scalings(case, scale):
+    # max |V_i| in [1, 2): |V|^4 underflows to 0 at V 2^-300, and phi^2
+    # overflows a Python float at V 2^300
+    f, p, _, V = MEMO_CASES[case]
+    V = scale * np.array(V)
+    K = hsc(f, p, V)
+    for e in (300, -300):
+        assert float.hex(hsc(f, p, V * 2.0**e)) == float.hex(K)
+
+
 def test_zero_vector_rejected():
     f = HoloMap.poly(2, {(1, 0): 1})
     with pytest.raises(ZeroVector):
@@ -170,12 +189,24 @@ def test_critical_point_values():
     assert float.hex(line_curvature(f, 0.0)) == float.hex(critical_point_curvature(f, 0.0))
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
 def test_critical_point_gamma_overflow_is_on_divisor():
     # gamma(|f|^2) overflows at |f| = 1e-100: -inf was returned
     with pytest.raises(OnDivisor):
         line_curvature(HoloMap.poly(1, {(2,): 1, (0,): 1e-100}), 0.0)
+
+
+@pytest.mark.parametrize("terms, z", [
+    ({(3,): 1}, 1e40),  # |f'|^4 overflows a Python float, and h^3 >= |f'|^6 with it
+    ({(1,): 1e80}, 1.0),  # |f'|^2 overflows
+    ({(2,): 1e200, (0,): 1}, 0.0),  # |f''|^2 overflows at a critical point, so K does
+])
+def test_line_curvature_overflow_is_domain_overflow(terms, z):
+    # the line and leaf paths both raise DomainOverflow
+    f = HoloMap.poly(1, terms)
+    with pytest.raises(DomainOverflow, match=r"h\^3 overflows"):
+        line_curvature(f, z)
+    with pytest.raises(DomainOverflow, match=r"h\^3 overflows"):
+        leaf_curvature(f, VectorField.constant([1.0]), z)
 
 
 def test_line_curvature_rounding_bound_rejects():
@@ -270,8 +301,6 @@ def _outcome(fn):
         return f"{type(exc).__name__}: {exc}"
 
 
-# draws near the divisor overflow gamma before the conditioning guard raises
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=80, deadline=None)
 @given(_map_point_direction())
 def test_blocks_bit_identical_to_loop_forms(case):
@@ -288,7 +317,9 @@ def test_blocks_bit_identical_to_loop_forms(case):
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
     R, R_ref = kahler_tensor(md), loop_kahler_tensor(ref)
     assert R.shape == R_ref.shape and R.tobytes() == R_ref.tobytes()
-    got, want = _outcome(lambda: hsc(f, p, V)), _outcome(lambda: loop_hsc(f, p, V))
+    # hsc evaluates a direction outside its band at a power-of-two rescaling
+    Vs, _ = _ordinary_direction(f, p, V)
+    got, want = _outcome(lambda: hsc(f, p, V)), _outcome(lambda: loop_hsc(f, p, Vs))
     assert np.array(got).tobytes() == np.array(want).tobytes()
 
 

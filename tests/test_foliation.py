@@ -350,7 +350,6 @@ def test_field_json_round_trip():
     assert np.allclose(Y((2.0, 4.0)), X((2.0, 4.0)))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("terms, z", [
     ({(2,): 1, (0,): 1e-78}, 0.0),  # gamma' overflows at the critical point
     ({(2,): 1, (0,): 1e-100}, 0.0),  # gamma itself overflows there

@@ -166,9 +166,6 @@ def test_on_divisor_error():
         hsc(HoloMap.poly(2, {(1, 0): 1}), (1e-200, 1.0), (1, 0))
 
 
-# gamma_jet's overflow warns before the metric rejects the point
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
 def test_gamma_overflow_is_on_divisor():
     # for f = z, gamma(|f|^2) overflows for 1e-140 < |z| < 4.55e-79, above
     # the divisor tolerance: no NaN or inf metric value is returned there
@@ -185,9 +182,6 @@ def test_gamma_overflow_is_on_divisor():
     assert np.isfinite(metric_det(f, 1e-78))
 
 
-# gamma_jet's overflow warns before the metric rejects the point
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("c", [1e-100, 1e-78])
 def test_metric_jet_gamma_overflow_is_on_divisor(c):
     # at a critical point of f the conditioning 1 + gamma |grad f|^2 cannot see
@@ -200,8 +194,6 @@ def test_metric_jet_gamma_overflow_is_on_divisor(c):
         hsc(f, (0, 0), (1, 0))
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
 def test_hsc_gamma_overflow_off_critical_point_is_on_divisor():
     # the same point metric_eval rejects; not a conditioning failure
     f = HoloMap.poly(2, {(1, 0): 1, (0, 1): 1})
@@ -209,6 +201,14 @@ def test_hsc_gamma_overflow_off_critical_point_is_on_divisor():
         metric_eval(f, (1e-100, 0), (1, 0))
     with pytest.raises(OnDivisor):
         hsc(f, (1e-100, 0), (1, 0))
+
+
+def test_metric_eval_overflow_is_domain_overflow():
+    # |V|^2 overflows at 1e200; phi = 3 2^1000 is exact at V = (2^500, 0)
+    f = HoloMap.poly(2, {(1, 1): 1, (0, 0): -1})
+    with pytest.raises(DomainOverflow, match="overflows"):
+        metric_eval(f, (2.0, 1.0), (1e200, 0))
+    assert metric_eval(f, (2.0, 1.0), (2.0**500, 0)) == 3 * 2.0**1000
 
 
 @pytest.mark.parametrize("V", [(np.nan, 0), (np.inf, 0), (1, complex(0, np.inf))])
