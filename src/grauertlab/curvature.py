@@ -10,15 +10,16 @@ import math
 import numpy as np
 
 from .density import gaussian_conformal, pullback_density_jet
-from .errors import DomainOverflow, ZeroVector
+from .errors import ZeroVector
 from .holomorphic import HoloMap, _as_point, eval_jet
 from .metric import MetricDerivatives, _as_direction, metric_eval, metric_matrix_jet
 
 #: imaginary residue allowed on algebraically-real quantities
 REAL_RESIDUE_TOL = 1e-8
 
-#: hsc takes V as given where phi(p, V) lies here: |V|^4 and phi^2 are normal doubles
-_PHI_BAND = (2.0**-400, 2.0**400)
+#: hsc takes V as given where max |V_i| lies here; with the conditioning guard
+#: on G, phi(p, V) then lies in [2^-400, 2^443], so phi^2 is a normal double
+_V_BAND = (2.0**-200, 2.0**180)
 
 
 def kahler_tensor(md: MetricDerivatives) -> np.ndarray:
@@ -36,33 +37,23 @@ def kahler_tensor(md: MetricDerivatives) -> np.ndarray:
     return R
 
 
-def _ordinary_direction(f: HoloMap, p, V: np.ndarray) -> tuple[np.ndarray, float]:
-    """V and phi(p, V) where phi lies in _PHI_BAND; elsewhere V scaled by the
-    power of two that puts max |V_i| in [1, 2), and phi there."""
-    try:
-        phi = metric_eval(f, p, V)
-    except DomainOverflow:
-        phi = math.inf
-    if _PHI_BAND[0] <= phi <= _PHI_BAND[1]:
-        return V, phi
-    # two halves of the exponent, so neither power of two overflows
-    k = 1 - math.frexp(float(np.abs(V).max()))[1]
-    V = V * math.ldexp(1.0, k // 2) * math.ldexp(1.0, k - k // 2)
-    return V, metric_eval(f, p, V)
-
-
 def holo_sectional_curvature(f: HoloMap, p, V) -> float:
     """Holomorphic sectional curvature K(p, V) = 2 R(V,V.,V,V.) / phi(p,V)^2.
 
-    Scale-invariant in V bit for bit: V outside _PHI_BAND is first scaled by
-    a power of two.  Normalized so the n = 1 value is the Gaussian curvature
-    of the conformal density.  Repeated calls at one point, as in
+    Scale-invariant in V: V with max |V_i| outside _V_BAND is first scaled
+    by the power of two that puts it in [1, 2), and phi(p, V) is evaluated
+    once.  Normalized so the n = 1 value is the Gaussian curvature of the
+    conformal density.  Repeated calls at one point, as in
     :func:`sup_sectional_curvature`, reuse the map's record of the point and
     its curvature tensor.
     """
-    V = _as_direction(V)
-    if not V.any():
+    V, m = _as_direction(V, f.n)
+    if m == 0:
         raise ZeroVector("direction V must be nonzero")
+    if not _V_BAND[0] <= m <= _V_BAND[1]:
+        # two halves of k, so neither power of two overflows; an inf m is in [2^1024, 2^1025)
+        k = 1 - (math.frexp(m)[1] if m < math.inf else 1025)
+        V = V * math.ldexp(1.0, k // 2) * math.ldexp(1.0, k - k // 2)
     md = metric_matrix_jet(f, p)
     # metric_matrix_jet leaves the map's record at p, so a tensor it holds is md's
     R = f._memo.get("R")
@@ -70,7 +61,7 @@ def holo_sectional_curvature(f: HoloMap, p, V) -> float:
         R = kahler_tensor(md)
         R.setflags(write=False)
         f._memo["R"] = R
-    V, phi = _ordinary_direction(f, p, V)
+    phi = metric_eval(f, p, V)
     num = np.einsum("ijkl,i,j,k,l->", R, V, np.conj(V), V, np.conj(V))
     if abs(num.imag) > REAL_RESIDUE_TOL * max(1.0, abs(num.real)):
         raise ArithmeticError(f"sectional numerator not real: {num}")
@@ -81,7 +72,8 @@ hsc = holo_sectional_curvature
 
 
 def _sphere_samples(n: int, samples: int, seed: int) -> np.ndarray:
-    """Deterministic low-discrepancy directions on the unit sphere of C^n."""
+    """Deterministic low-discrepancy directions on the unit sphere of C^n,
+    as rows (Re V, Im V) of 2n reals."""
     # scipy.stats takes about 1.2 s to import, and only direction sampling
     # needs it, so commands that never sample do not pay for it
     from scipy.stats import norm, qmc
@@ -90,7 +82,7 @@ def _sphere_samples(n: int, samples: int, seed: int) -> np.ndarray:
     u = sob.random(samples)
     x = norm.ppf(np.clip(u, 1e-12, 1 - 1e-12))
     x /= np.linalg.norm(x, axis=1, keepdims=True)
-    return x[:, :n] + 1j * x[:, n:]
+    return x
 
 
 def _golden_polish(f, x0: np.ndarray):
@@ -140,19 +132,13 @@ def sup_sectional_curvature(
         raise ValueError("need at least 64 samples")
     p = _as_point(p, f.n)
     n = f.n
-    dirs = _sphere_samples(n, samples, seed)
 
     def k_of_real(x: np.ndarray) -> float:
-        V = x[:n] + 1j * x[n:]
-        if not V.any():
-            return -np.inf
-        return holo_sectional_curvature(f, p, V)
+        return holo_sectional_curvature(f, p, x[:n] + 1j * x[n:])
 
-    vals = [holo_sectional_curvature(f, p, V) for V in dirs]
-    ibest = int(np.argmax(vals))
-    x0 = np.concatenate([dirs[ibest].real, dirs[ibest].imag])
-    best, xbest = _golden_polish(k_of_real, x0)
-    best = max(best, vals[ibest])
+    xs = _sphere_samples(n, samples, seed)
+    ibest = int(np.argmax([k_of_real(x) for x in xs]))
+    best, xbest = _golden_polish(k_of_real, xs[ibest])
     if return_direction:
         return best, xbest[:n] + 1j * xbest[n:]
     return best

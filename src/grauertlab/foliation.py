@@ -117,7 +117,8 @@ def leaf_curvature(f: HoloMap, X: VectorField, p) -> float:
 
 
 def transverse_field(f: HoloMap, p) -> VectorField:
-    """Field X with df(X) = 1: e_i / f_{z_i} for the strongest partial at p."""
+    """Field X with df(X) = 1: e_i / f_{z_i} with i = 0 where |f_{z_0}| >
+    FIELD_TOL at p, else i for the strongest partial at p."""
     jet = eval_jet(f, p, 1)
     grad = jet.gradient()
     i = 0 if abs(grad[0]) > FIELD_TOL else int(np.argmax(np.abs(grad)))

@@ -62,12 +62,20 @@ def _point_key(point: tuple[complex, ...]) -> bytes:
     return np.array(point, dtype=complex).tobytes()
 
 
-def _as_direction(V) -> np.ndarray:
-    """V as a complex array; NonFiniteInput when an entry is NaN or infinite."""
-    V = np.asarray(V, dtype=complex)
-    if not all(map(cmath.isfinite, V.ravel().tolist())):
+def _as_direction(V, n: int) -> tuple[np.ndarray, float]:
+    """V as a flat complex array of n entries and m = max |V_i| (inf above the
+    largest double); NonFiniteInput when an entry is NaN or infinite."""
+    V = np.asarray(V, dtype=complex).ravel()
+    entries = V.tolist()
+    if len(entries) != n:
+        raise ValueError(f"direction has {len(entries)} coordinates, map expects {n}")
+    if not all(map(cmath.isfinite, entries)):
         raise NonFiniteInput(f"direction {V} is not finite")
-    return V
+    try:
+        m = max(map(abs, entries))
+    except OverflowError:
+        m = math.inf
+    return V, m
 
 
 def _gradient_and_gamma(f: HoloMap, z) -> tuple[np.ndarray, float]:
@@ -82,11 +90,12 @@ def _gradient_and_gamma(f: HoloMap, z) -> tuple[np.ndarray, float]:
 
 
 def metric_eval(f: HoloMap, z, V) -> float:
-    """phi(z, V) = gamma(|f|^2) |df(z)(V)|^2 + |V|^2; DomainOverflow where it overflows."""
-    V = _as_direction(V)
+    """phi(z, V) = gamma(|f|^2) |df(z)(V)|^2 + |V|^2; DomainOverflow where not finite."""
+    V, m = _as_direction(V, f.n)
     a, g = _gradient_and_gamma(f, z)
-    phi = float(g) * _pow(float(abs(np.dot(a, V))), 2) + float(np.vdot(V, V).real)
-    if math.isinf(phi):
+    phi = math.inf if m >= 2.0**512 else (  # |V|^2 overflows: no numpy product
+        float(g) * _pow(float(abs(np.dot(a, V))), 2) + float(np.vdot(V, V).real))
+    if not math.isfinite(phi):
         raise DomainOverflow(f"phi(z, V) = gamma |df(z)(V)|^2 + |V|^2 overflows at {z}")
     return phi
 
@@ -133,6 +142,12 @@ def metric_matrix_jet(f: HoloMap, z) -> MetricDerivatives:
     fz = jet.value
     t, (g, gp, gpp) = _finite_gamma(fz, 2, jet.point)
     a = jet.gradient()
+    # before any block is formed, so no product overflows; NaN fails too
+    na2 = float(np.vdot(a, a).real)
+    cond = 1.0 + float(g) * na2
+    if not cond <= COND_LIMIT:
+        raise SolveFailure(f"metric conditioning {cond:.3e} exceeds {COND_LIMIT:.0e} "
+                           f"at {jet.point}")
     H = jet.hessian()
 
     # numpy's complex array loop rounds a product the same way at every length,
@@ -157,12 +172,6 @@ def metric_matrix_jet(f: HoloMap, z) -> MetricDerivatives:
     ddG += gpfz_ca[None, :, None, None] * Hca[:, None]
     ddG += g * (H[:, None, :, None] * cH[None, :, None, :])
 
-    na2 = float(np.vdot(a, a).real)
-    cond = 1.0 + g * na2
-    if cond > COND_LIMIT:
-        raise SolveFailure(
-            f"metric conditioning {cond:.3e} exceeds {COND_LIMIT:.0e} at {jet.point}"
-        )
     Ginv = _identity(n) - (g / cond) * aa
     for block in (a, G, dG, ddG, Ginv):
         block.setflags(write=False)
@@ -173,6 +182,10 @@ def metric_matrix_jet(f: HoloMap, z) -> MetricDerivatives:
 
 
 def metric_det(f: HoloMap, z) -> float:
-    """det G(z) = 1 + gamma(|f|^2) |grad f|^2 (matrix determinant lemma)."""
+    """det G(z) = 1 + gamma(|f|^2) |grad f|^2 (matrix determinant lemma);
+    DomainOverflow where it is not finite."""
     a, g = _gradient_and_gamma(f, z)
-    return float(1.0 + g * np.vdot(a, a).real)
+    det = 1.0 + float(g) * float(np.vdot(a, a).real)
+    if not math.isfinite(det):
+        raise DomainOverflow(f"det G = 1 + gamma |grad f|^2 overflows at {z}")
+    return det

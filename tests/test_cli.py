@@ -57,6 +57,15 @@ def _rows(path):
         return list(csv.DictReader(fh))
 
 
+def _main_under_warning_error(argv):
+    """Run ``grauertlab.cli.main(argv)`` in a fresh interpreter under -W error."""
+    src = Path(grauertlab.__file__).resolve().parent.parent
+    code = "import sys; from grauertlab.cli import main; sys.exit(main(sys.argv[1:]))"
+    return subprocess.run([sys.executable, "-W", "error", "-c", code, *argv],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120)
+
+
 def test_u_table_round_trip(workdir):
     out = workdir / "u.csv"
     assert main(["u-table", "--t-min", "0.5", "--t-max", "2", "--points", "7",
@@ -95,7 +104,6 @@ def test_kg_grid_overflow_exit_2_no_output(workdir, capsys):
 
 
 # M(t)'s terms overflow below |z| ~ 1e-39, and must do so without a warning
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_kg_grid_near_zero_writes_without_warning(workdir):
     out = workdir / "kg.csv"
     assert main(["kg-grid", "--rmin", "1e-100", "--rmax", "1", "--angles", "2",
@@ -152,6 +160,57 @@ def test_metric_eval_overflow_exit_2_no_output(workdir, capsys):
                  "--V", "1e200", "0", "--out", str(out)]) == 2
     assert not out.exists()
     assert "error: DomainOverflow: " in capsys.readouterr().err
+
+
+def test_hsc_huge_direction_exit_0_under_warning_error(workdir):
+    # df(z)(V) overflowed in np.dot at V = 1e308, a RuntimeWarning traceback
+    # and exit 1 under -W error; V is scaled before phi is evaluated
+    out = workdir / "h.json"
+    r = _main_under_warning_error(["hsc", "--f", str(workdir / "f2.json"), "--p", "2", "1",
+                                   "--V", "1e308", "1e308", "--out", str(out)])
+    assert r.returncode == 0, r.stderr
+    K = hsc(HoloMap.poly(2, {(1, 1): 1, (0, 0): -1}), (2, 1), (1, 1))
+    assert float.hex(json.load(open(out))["K"]) == float.hex(K)
+
+
+def test_gradient_overflow_is_solve_failure_under_warning_error(workdir):
+    # |grad f|^2 overflows at a point off the divisor: the conditioning test
+    # runs before the a a* block, whose product raised "overflow encountered
+    # in multiply" under -W error
+    json.dump(HoloMap.poly(2, {(1, 0): 1e160, (0, 1): -1e160}).to_json(),
+              open(workdir / "fbig.json", "w"))
+    r = _main_under_warning_error(["hsc", "--f", str(workdir / "fbig.json"),
+                                   "--p", "0", "1e-30", "--V", "1", "0"])
+    assert r.returncode == 2, r.stderr
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: SolveFailure: metric conditioning inf ")
+
+
+@pytest.mark.parametrize("z, V", [(["2", "1"], ["1e308", "1e308"]),
+                                  (["2+1j", "1"], ["1e200+1e200j", "1e200"])])
+def test_metric_eval_huge_direction_exit_2_no_output(workdir, capsys, z, V):
+    # |V|^2 overflows: np.dot warned (exit 1 under the warning rule) or
+    # "phi": NaN was written with exit 0
+    out = workdir / "m.json"
+    assert main(["metric-eval", "--f", str(workdir / "f2.json"), "--z", *z,
+                 "--V", *V, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "error: DomainOverflow: phi(z, V)" in capsys.readouterr().err
+
+
+# metric_matrix has no gradient guard: its a a* product still overflows, and
+# G is NaN, but metric_det's DomainOverflow keeps it from being written
+@pytest.mark.filterwarnings(
+    "ignore:(overflow|invalid value) encountered in multiply:RuntimeWarning")
+def test_metric_eval_det_overflow_exit_2_no_output(workdir, capsys):
+    # 1 + gamma |grad f|^2 overflows: "detG": Infinity was written with exit 0
+    json.dump(HoloMap.poly(2, {(1, 0): 1e160, (0, 1): -1e160}).to_json(),
+              open(workdir / "fbig.json", "w"))
+    out = workdir / "m.json"
+    assert main(["metric-eval", "--f", str(workdir / "fbig.json"), "--z", "0", "1e-30",
+                 "--V", "0", "0", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "error: DomainOverflow: det G" in capsys.readouterr().err
 
 
 def test_hsc_and_kplus(workdir):
@@ -366,13 +425,9 @@ def test_leaf_curvature_gamma_overflow_exit_2_under_warning_error(workdir, p):
     # traceback and exit 1
     json.dump(HoloMap.poly(1, {(1,): 1}).to_json(), open(workdir / "fz.json", "w"))
     out = workdir / "K.json"
-    src = Path(grauertlab.__file__).resolve().parent.parent
-    code = "import sys; from grauertlab.cli import main; sys.exit(main(sys.argv[1:]))"
-    argv = ["leaf-curvature", "--f", str(workdir / "fz.json"),
-            "--X", str(workdir / "X1.json"), "--p", p, "--out", str(out)]
-    r = subprocess.run([sys.executable, "-W", "error", "-c", code, *argv],
-                       env={**os.environ, "PYTHONPATH": str(src)},
-                       capture_output=True, text=True, timeout=120)
+    r = _main_under_warning_error(["leaf-curvature", "--f", str(workdir / "fz.json"),
+                                   "--X", str(workdir / "X1.json"), "--p", p,
+                                   "--out", str(out)])
     assert r.returncode == 2, r.stderr
     assert r.stdout == "" and not out.exists()
     assert r.stderr.startswith("error: OnDivisor: ")
@@ -402,6 +457,23 @@ def test_non_finite_direction_exit_2_no_output(workdir, capsys, argv):
     assert main(argv + ["--out", str(out)]) == 2
     assert not out.exists()
     assert "NonFiniteInput" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, sizes", [
+    (["hsc", "--f", "f2.json", "--p", "2", "1", "--V", "1"], (1, 2)),
+    (["metric-eval", "--f", "f2.json", "--z", "2", "1", "--V", "1"], (1, 2)),
+    (["curvature-grid", "--f", "f1.json", "--grid", "grid1.json", "--V", "1", "0"], (2, 1)),
+    (["liminf", "--family", "fam1.json", "--p", "3", "--V", "1", "0", "--tail", "8"], (2, 1)),
+])
+def test_direction_of_wrong_length_exit_2_no_output(workdir, capsys, argv, sizes):
+    # an input error worded like a wrong-length point, not numpy's text
+    out = workdir / "never.out"
+    argv = [str(workdir / a) if a.endswith(".json") else a for a in argv]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+    got, want = sizes
+    assert capsys.readouterr().err == (
+        f"error: direction has {got} coordinates, map expects {want}\n")
 
 
 @pytest.mark.parametrize("suite", sorted(SUITES))

@@ -1,13 +1,14 @@
 """Tests for conformal Gaussian curvature, the Kahler tensor, holomorphic
 sectional curvature, its sampled supremum, and the one-variable curvature."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grauertlab.curvature import (
-    _ordinary_direction,
     gaussian_conformal,
     hsc,
     k_plus,
@@ -24,7 +25,7 @@ from grauertlab.errors import (
 )
 from grauertlab.foliation import VectorField, integrate_leaf, leaf_curvature, leaf_density_jet
 from grauertlab.holomorphic import HoloMap, Polynomial, eval_jet
-from grauertlab.metric import metric_matrix_jet
+from grauertlab.metric import metric_eval, metric_matrix_jet
 from oracles import (
     MEMO_CASES,
     critical_point_curvature,
@@ -128,13 +129,22 @@ def test_scale_invariance(salt):
 @pytest.mark.parametrize("scale", [1.0, 1.75])
 @pytest.mark.parametrize("case", list(MEMO_CASES))
 def test_hsc_bit_identical_at_power_of_two_scalings(case, scale):
-    # max |V_i| in [1, 2): |V|^4 underflows to 0 at V 2^-300, and phi^2
-    # overflows a Python float at V 2^300
+    # max |V_i| in [1, 2): |V|^4 underflows to 0 at V 2^-300, phi^2 overflows
+    # a Python float at V 2^300 and |V|^2 overflows at V 2^512; hsc takes V
+    # as given for max |V_i| in [2^-200, 2^180], so each edge is on both sides
     f, p, _, V = MEMO_CASES[case]
     V = scale * np.array(V)
     K = hsc(f, p, V)
-    for e in (300, -300):
+    for e in (-300, -201, -200, 180, 181, 200, 300, 512):
         assert float.hex(hsc(f, p, V * 2.0**e)) == float.hex(K)
+
+
+def test_hsc_takes_a_direction_whose_modulus_exceeds_the_largest_double():
+    # |V_1| = 1.5 sqrt(2) 2^1023 overflows a double while its parts do not;
+    # it was rejected as a non-finite direction
+    f, p, _, _ = MEMO_CASES["poly2"]
+    V = np.array([0.75 + 0.75j, 0.25])
+    assert float.hex(hsc(f, p, V * 2.0**512 * 2.0**512)) == float.hex(hsc(f, p, V))
 
 
 def test_zero_vector_rejected():
@@ -317,8 +327,12 @@ def test_blocks_bit_identical_to_loop_forms(case):
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
     R, R_ref = kahler_tensor(md), loop_kahler_tensor(ref)
     assert R.shape == R_ref.shape and R.tobytes() == R_ref.tobytes()
-    # hsc evaluates a direction outside its band at a power-of-two rescaling
-    Vs, _ = _ordinary_direction(f, p, V)
+    # hsc evaluates a direction with max |V_i| outside [2^-200, 2^180] at the
+    # power of two that puts it in [1, 2)
+    Vs, m = V, np.abs(V).max()
+    if not 2.0**-200 <= m <= 2.0**180:
+        k = 1 - math.frexp(m)[1]
+        Vs = V * math.ldexp(1.0, k // 2) * math.ldexp(1.0, k - k // 2)
     got, want = _outcome(lambda: hsc(f, p, V)), _outcome(lambda: loop_hsc(f, p, Vs))
     assert np.array(got).tobytes() == np.array(want).tobytes()
 
@@ -377,6 +391,32 @@ def test_hsc_reuses_the_tensor_of_the_same_record(monkeypatch):
     metric_matrix_jet(f, q)
     assert np.array(hsc(f, p, V)).tobytes() == np.array(want).tobytes()
     assert len(built) == 2 and built[1] is not built[0]
+
+
+@pytest.mark.parametrize("e", [0, 300, -300])
+def test_hsc_evaluates_phi_once(monkeypatch, e):
+    # at any scale of V: a direction outside the band is scaled first
+    import grauertlab.curvature as curvature
+
+    calls = []
+
+    def counting(f, z, V):
+        calls.append(V)
+        return metric_eval(f, z, V)
+
+    f, p, _, V = MEMO_CASES["poly2"]
+    want = hsc(HoloMap(f.num, f.den), p, V)
+    monkeypatch.setattr(curvature, "metric_eval", counting)
+    assert float.hex(hsc(HoloMap(f.num, f.den), p, np.array(V) * 2.0**e)) == float.hex(want)
+    assert len(calls) == 1
+
+
+def test_hsc_checks_the_direction_before_building_the_record():
+    f, p, _, _ = MEMO_CASES["poly2"]
+    f = HoloMap(f.num, f.den)
+    with pytest.raises(ValueError, match="^direction has 3 coordinates, map expects 2$"):
+        hsc(f, p, (1, 0, 0))
+    assert f._memo == {}
 
 
 def test_memoized_tensor_is_read_only_and_kahler_tensor_stays_pure():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from grauertlab.curvature import hsc, line_curvature
-from grauertlab.errors import DomainOverflow, NonFiniteInput, OnDivisor
+from grauertlab.errors import DomainOverflow, NonFiniteInput, OnDivisor, SolveFailure
 from grauertlab.holomorphic import HoloMap, Polynomial, eval_jet
 from grauertlab.metric import (
     MetricDerivatives,
@@ -209,6 +209,35 @@ def test_metric_eval_overflow_is_domain_overflow():
     with pytest.raises(DomainOverflow, match="overflows"):
         metric_eval(f, (2.0, 1.0), (1e200, 0))
     assert metric_eval(f, (2.0, 1.0), (2.0**500, 0)) == 3 * 2.0**1000
+
+
+def test_huge_direction_is_domain_overflow_before_any_product():
+    # max |V_i| >= 2^512: |V|^2 overflows, where np.dot warned or phi was NaN
+    f = HoloMap.poly(2, {(1, 1): 1, (0, 0): -1})
+    for V in [(1e308, 1e308), (1e200 + 1e200j, 1e200), (2.0**512, 0), (1.7e308 + 1.7e308j, 0)]:
+        with pytest.raises(DomainOverflow, match="overflows"):
+            metric_eval(f, (2 + 1j, 1.0), V)
+
+
+def test_gradient_overflow_raises_before_any_block():
+    # gamma |grad f|^2 overflows off the divisor: the conditioning test comes
+    # before the a a* block, whose product warned, and det G is not written
+    f = HoloMap.poly(2, {(1, 0): 1e160, (0, 1): -1e160})
+    with pytest.raises(SolveFailure, match="metric conditioning inf"):
+        metric_matrix_jet(f, (0, 1e-30))
+    with pytest.raises(DomainOverflow, match="det G"):
+        metric_det(f, (0, 1e-30))
+
+
+def test_direction_of_wrong_length_rejected():
+    f = HoloMap.poly(2, {(1, 1): 1, (0, 0): -1})
+    for V, k in [(1.0, 1), ([1.0], 1), ((1, 0, 0), 3)]:
+        with pytest.raises(ValueError, match=f"^direction has {k} coordinates, map expects 2$"):
+            metric_eval(f, (2.0, 1.0), V)
+    # a scalar is the direction of a one-variable map
+    g = HoloMap.poly(1, {(2,): 1, (0,): -1})
+    assert metric_eval(g, 1.5, 0.5j) == metric_eval(g, 1.5, [0.5j])
+    assert hsc(g, 1.5, 0.5j) == hsc(g, 1.5, [0.5j])
 
 
 @pytest.mark.parametrize("V", [(np.nan, 0), (np.inf, 0), (1, complex(0, np.inf))])
