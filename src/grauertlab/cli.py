@@ -203,7 +203,8 @@ def _cmd_leaf_approach(a) -> int:
 def _cmd_converge_metric(a) -> int:
     fam = _load(a.family, "family", DivisorFamily.from_json)
     grid = _load(a.grid, "grid", CompactGrid.from_json)
-    rows = [(j, sup_metric_gap(fam, grid, j), grid.delta) for j in fam.J]
+    rows = [(j, gap, grid.delta)
+            for j, gap in zip(fam.J, sup_metric_gap(fam, grid, *fam.J))]
     emit_grid(rows, ["j", "gap", "delta"], a.out)
     return 0
 
@@ -212,7 +213,8 @@ def _cmd_converge_curvature(a) -> int:
     fam = _load(a.family, "family", DivisorFamily.from_json)
     grid = _load(a.grid, "grid", CompactGrid.from_json)
     X = _load(a.X, "field", VectorField.from_json)
-    rows = [(j, curvature_gap(fam, X, grid, j), grid.delta) for j in fam.J]
+    rows = [(j, gap, grid.delta)
+            for j, gap in zip(fam.J, curvature_gap(fam, X, grid, *fam.J))]
     emit_grid(rows, ["j", "gap", "delta"], a.out)
     return 0
 

@@ -4,19 +4,13 @@ A family is a sequence of defining functions f_j with a declared limit f_0,
 convergence supplied as data (closed-form coefficient paths in 1/j).
 Metric and leaf-curvature gaps are measured as sups over a fixed compact
 grid with an exclusion margin around the limit divisor.
-
-The f_0 side of a gap -- G_0 or the f_0 leaf curvature at every grid point --
-is the same for every j, so a family keeps it per grid (and, for leaf
-curvature, per field X): the first gap call computes it whole, before any
-f_j, and later calls for other j read it.  An f_0 side that raised is never
-kept, and every gap is the same bits as on a fresh family.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -39,10 +33,6 @@ class DivisorFamily:
     f0: HoloMap
     member_fn: Callable[[int], HoloMap]
     J: tuple[int, ...]
-    #: the f_0 sides of the gaps, one entry per gap and grid; see the module
-    #: docstring
-    _limit_sides: dict = field(default_factory=dict, init=False, repr=False,
-                               compare=False)
 
     def __post_init__(self):
         if not self.J:
@@ -52,10 +42,6 @@ class DivisorFamily:
         n = self.f0.n
         if self.member_fn(self.J[0]).n != n:
             raise ValueError("family members must share the dimension of f0")
-
-    @property
-    def n(self) -> int:
-        return self.f0.n
 
     def member(self, j: int) -> HoloMap:
         return self.member_fn(j)
@@ -118,10 +104,6 @@ class CompactGrid:
         if self.resolution < 2:
             raise ValueError("resolution must be >= 2")
 
-    @property
-    def n(self) -> int:
-        return len(self.box)
-
     def points(self, f0: HoloMap) -> list[tuple[complex, ...]]:
         """Deterministically ordered grid points off the delta-tube of f0."""
         axes = []
@@ -151,38 +133,6 @@ class CompactGrid:
         )
 
 
-def _checked_points(fam: DivisorFamily, grid: CompactGrid, j: int):
-    pts = grid.points(fam.f0)
-    fj = fam.member(j)
-    touching = [p for p in pts if abs(fj(p)) < DIVISOR_TOL]
-    if touching:
-        raise GridTouchesDivisor(j, touching)
-    return pts, fj
-
-
-def _limit_side(fam: DivisorFamily, grid: CompactGrid, pts, side, X=None) -> list:
-    """The f_0 side at the points ``pts`` of ``grid``: the family's kept list for
-    this ``side``, grid and very field ``X`` (a field is not hashable), or else
-    computed whole here and kept."""
-    # repr, not the grid: equal grids can differ in the sign of a zero bound,
-    # and so in the signs of zero coordinates of their points
-    key = (side, repr(grid))
-    entry = fam._limit_sides.get(key)
-    if entry is not None and entry[0] is X:
-        return entry[1]
-    limit = [side(fam.f0, p, X) for p in pts]
-    fam._limit_sides[key] = (X, limit)
-    return limit
-
-
-def _metric_side(f: HoloMap, p, X) -> np.ndarray:
-    return metric_matrix(f, p)
-
-
-def _leaf_side(f: HoloMap, p, X: VectorField) -> float:
-    return leaf_curvature(f, X, p)
-
-
 def _op_norm(diff: np.ndarray) -> float:
     """||diff||_2, the largest singular value: the LAPACK call of
     np.linalg.norm(diff, 2), or |d| for a finite real 1 x 1 matrix d (the
@@ -194,24 +144,39 @@ def _op_norm(diff: np.ndarray) -> float:
     return float(np.linalg.svd(diff, compute_uv=False)[0])
 
 
-def sup_metric_gap(fam: DivisorFamily, grid: CompactGrid, j: int) -> float:
-    """sup over the grid of the operator norm ||G_j(z) - G_0(z)||_2."""
-    pts, fj = _checked_points(fam, grid, j)
-    gap = 0.0
-    for p, G0 in zip(pts, _limit_side(fam, grid, pts, _metric_side)):
-        gap = max(gap, _op_norm(metric_matrix(fj, p) - G0))
-    return gap
+def _sup_gaps(fam: DivisorFamily, grid: CompactGrid, js, side, norm) -> list[float]:
+    """For each j in js, the sup over the grid of norm(side(f_j, z) - side(f_0, z)).
+
+    The f_0 side is computed at every grid point before any f_j; each f_j
+    must stay off its divisor at every grid point (GridTouchesDivisor).
+    """
+    pts = grid.points(fam.f0)
+    limit = [side(fam.f0, p) for p in pts]
+    gaps = []
+    for j in js:
+        fj = fam.member(j)
+        touching = [p for p in pts if abs(fj(p)) < DIVISOR_TOL]
+        if touching:
+            raise GridTouchesDivisor(j, touching)
+        gap = 0.0
+        for p, s0 in zip(pts, limit):
+            gap = max(gap, norm(side(fj, p) - s0))
+        gaps.append(gap)
+    return gaps
+
+
+def sup_metric_gap(fam: DivisorFamily, grid: CompactGrid, *js: int) -> list[float]:
+    """For each j in js, in order, the sup over the grid of the operator norm
+    ||G_j(z) - G_0(z)||_2; G_0 is computed once for all of them."""
+    return _sup_gaps(fam, grid, js, metric_matrix, _op_norm)
 
 
 def curvature_gap(
-    fam: DivisorFamily, X: VectorField, grid: CompactGrid, j: int
-) -> float:
-    """sup over the grid of the leaf-curvature gap of the foliation of X."""
-    pts, fj = _checked_points(fam, grid, j)
-    gap = 0.0
-    for p, k0 in zip(pts, _limit_side(fam, grid, pts, _leaf_side, X)):
-        gap = max(gap, abs(leaf_curvature(fj, X, p) - k0))
-    return gap
+    fam: DivisorFamily, X: VectorField, grid: CompactGrid, *js: int
+) -> list[float]:
+    """For each j in js, in order, the sup over the grid of the leaf-curvature
+    gap of the foliation of X; the f_0 leaf curvatures are computed once."""
+    return _sup_gaps(fam, grid, js, lambda f, p: leaf_curvature(f, X, p), abs)
 
 
 def twisted_family(fam: DivisorFamily, unit: HoloMap, grid: CompactGrid) -> DivisorFamily:

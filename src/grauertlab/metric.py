@@ -100,9 +100,20 @@ def metric_eval(f: HoloMap, z, V) -> float:
     return phi
 
 
+def _det(a: np.ndarray, g, z) -> float:
+    """det G = 1 + gamma |a|^2 for the gradient a of f at z (matrix determinant
+    lemma); DomainOverflow where it is not finite."""
+    det = 1.0 + float(g) * float(np.vdot(a, a).real)
+    if not math.isfinite(det):
+        raise DomainOverflow(f"det G = 1 + gamma |grad f|^2 overflows at {z}")
+    return det
+
+
 def metric_matrix(f: HoloMap, z) -> np.ndarray:
-    """Matrix G(z) of the metric; Hermitian, eigenvalues >= 1."""
+    """Matrix G(z) of the metric; Hermitian, eigenvalues >= 1.  DomainOverflow
+    where det G = 1 + gamma |grad f|^2 is not finite, before a a^* is formed."""
     a, g = _gradient_and_gamma(f, z)
+    _det(a, g, z)
     # the product np.outer forms, then G = (G + G^*) / 2 in place: the same
     # element operations as 0.5 * (G + G.conj().T), Hermitian by construction
     G = g * (a[:, None] * a.conj()[None, :]) + _identity(f.n)
@@ -184,8 +195,4 @@ def metric_matrix_jet(f: HoloMap, z) -> MetricDerivatives:
 def metric_det(f: HoloMap, z) -> float:
     """det G(z) = 1 + gamma(|f|^2) |grad f|^2 (matrix determinant lemma);
     DomainOverflow where it is not finite."""
-    a, g = _gradient_and_gamma(f, z)
-    det = 1.0 + float(g) * float(np.vdot(a, a).real)
-    if not math.isfinite(det):
-        raise DomainOverflow(f"det G = 1 + gamma |grad f|^2 overflows at {z}")
-    return det
+    return _det(*_gradient_and_gamma(f, z), z)

@@ -47,7 +47,7 @@ from grauertlab.density import (
     _finite_gamma,
     u_jet,
 )
-from grauertlab.divisors import CompactGrid, DivisorFamily, _checked_points
+from grauertlab.divisors import CompactGrid, DivisorFamily
 from grauertlab.errors import GrauertError, SolveFailure
 from grauertlab.foliation import LeafChart, VectorField
 from grauertlab.holomorphic import HoloMap, Polynomial, _as_point, _multi_indices, eval_jet
@@ -289,11 +289,11 @@ def outer_metric_matrix(f: HoloMap, z) -> np.ndarray:
 
 
 def norm_sup_metric_gap(fam: DivisorFamily, grid: CompactGrid, j: int) -> float:
-    """:func:`grauertlab.divisors.sup_metric_gap` through
+    """:func:`grauertlab.divisors.sup_metric_gap` at one ``j``, through
     ``np.linalg.norm(diff, 2)``."""
-    pts, fj = _checked_points(fam, grid, j)
+    fj = fam.member(j)
     gap = 0.0
-    for p in pts:
+    for p in grid.points(fam.f0):
         diff = metric_matrix(fj, p) - metric_matrix(fam.f0, p)
         gap = max(gap, float(np.linalg.norm(diff, 2)))
     return gap

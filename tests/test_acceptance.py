@@ -146,12 +146,12 @@ def test_criterion_6_divisor_convergence():
     X2 = VectorField.constant([1.0, 0.0])
 
     m_ok = (
-        sup_metric_gap(fam1, g1, 64) < 1e-2 * sup_metric_gap(fam1, g1, 1)
-        and sup_metric_gap(fam2, g2, 64) < 1e-2 * sup_metric_gap(fam2, g2, 1)
+        sup_metric_gap(fam1, g1, 64)[0] < 1e-2 * sup_metric_gap(fam1, g1, 1)[0]
+        and sup_metric_gap(fam2, g2, 64)[0] < 1e-2 * sup_metric_gap(fam2, g2, 1)[0]
     )
     c_ok = (
-        curvature_gap(fam1, X1, g1, 64) < 1e-2 * curvature_gap(fam1, X1, g1, 1)
-        and curvature_gap(fam2, X2, g2, 64) < 1e-2 * curvature_gap(fam2, X2, g2, 1)
+        curvature_gap(fam1, X1, g1, 64)[0] < 1e-2 * curvature_gap(fam1, X1, g1, 1)[0]
+        and curvature_gap(fam2, X2, g2, 64)[0] < 1e-2 * curvature_gap(fam2, X2, g2, 1)[0]
     )
 
     rng = np.random.default_rng(SEED)

@@ -14,7 +14,7 @@ import pytest
 import grauertlab
 from grauertlab.cli import FLOAT_FMT, main
 from grauertlab.curvature import hsc
-from grauertlab.divisors import DivisorFamily, curvature_gap, sup_metric_gap
+from grauertlab.divisors import CompactGrid, DivisorFamily, curvature_gap, sup_metric_gap
 from grauertlab.foliation import VectorField
 from grauertlab.holomorphic import HoloMap
 from grauertlab.verify import SUITES, grid_1d
@@ -198,10 +198,6 @@ def test_metric_eval_huge_direction_exit_2_no_output(workdir, capsys, z, V):
     assert "error: DomainOverflow: phi(z, V)" in capsys.readouterr().err
 
 
-# metric_matrix has no gradient guard: its a a* product still overflows, and
-# G is NaN, but metric_det's DomainOverflow keeps it from being written
-@pytest.mark.filterwarnings(
-    "ignore:(overflow|invalid value) encountered in multiply:RuntimeWarning")
 def test_metric_eval_det_overflow_exit_2_no_output(workdir, capsys):
     # 1 + gamma |grad f|^2 overflows: "detG": Infinity was written with exit 0
     json.dump(HoloMap.poly(2, {(1, 0): 1e160, (0, 1): -1e160}).to_json(),
@@ -248,11 +244,10 @@ def test_converge_metric_csv(workdir):
 
 @pytest.mark.parametrize("command", ["converge-metric", "converge-curvature"])
 def test_converge_rows_match_fresh_family_gaps(workdir, command):
-    # one family object serves every j of the CLI loop, so later j read the
-    # f_0 side memoized by the first; each row must still hold the bits of
-    # the gap measured on a fresh family
+    # one call serves every j, sharing its f_0 side; each row, a repeated
+    # index too, must still hold the bits of a one-j gap on a fresh family
     fam_json = json.load(open(workdir / "fam1.json"))
-    fam_json["J"] = [1, 2, 4, 8, 16, 64]
+    fam_json["J"] = [1, 2, 4, 8, 16, 64, 64]
     json.dump(fam_json, open(workdir / "fam6.json", "w"))
     out = workdir / "c.csv"
     argv = [command, "--family", str(workdir / "fam6.json"),
@@ -264,12 +259,35 @@ def test_converge_rows_match_fresh_family_gaps(workdir, command):
     gaps = []
     for j in fam_json["J"]:
         fam = DivisorFamily.from_json(fam_json)
-        gaps.append(sup_metric_gap(fam, grid, j) if command == "converge-metric"
-                    else curvature_gap(fam, X, grid, j))
+        gaps += (sup_metric_gap(fam, grid, j) if command == "converge-metric"
+                 else curvature_gap(fam, X, grid, j))
     rows = _rows(out)
     assert [r["j"] for r in rows] == [str(j) for j in fam_json["J"]]
     assert [r["gap"] for r in rows] == [FLOAT_FMT % gap for gap in gaps]
     assert [float(r["gap"]) for r in rows] == gaps  # %.17g round-trips
+
+
+@pytest.mark.parametrize("warnings_as_errors", [False, True])
+def test_converge_metric_gradient_overflow_exit_2_no_output(workdir, capsys,
+                                                            warnings_as_errors):
+    # |grad f_0|^2 = 1e320 overflows at every grid point: G_0 was NaN, with a
+    # RuntimeWarning (exit 1 under -W error) or "SVD did not converge"
+    json.dump({"f0": {"n": 1, "terms": [{"exp": [1], "re": 1e160}]},
+               "fj": {"template": {"terms": [{"exp": [1], "re": 1e160},
+                                             {"exp": [0], "re_j": 1e130}]}},
+               "J": [1]}, open(workdir / "fbig.json", "w"))
+    json.dump(CompactGrid(((1e-23, 3e-23, -1e-23, 1e-23),), 3, 1e-6).to_json(),
+              open(workdir / "gbig.json", "w"))
+    out = workdir / "cm.csv"
+    argv = ["converge-metric", "--family", str(workdir / "fbig.json"),
+            "--grid", str(workdir / "gbig.json"), "--out", str(out)]
+    if warnings_as_errors:
+        proc = _main_under_warning_error(argv)
+        code, err = proc.returncode, proc.stderr
+    else:
+        code, err = main(argv), capsys.readouterr().err
+    assert code == 2 and not out.exists()
+    assert "error: DomainOverflow: det G" in err
 
 
 def test_liminf_report(workdir):

@@ -30,15 +30,15 @@ def constant_family(J=(1, 2, 4)):
 def test_constant_family_zero_gap():
     fam = constant_family()
     grid = CompactGrid(((-1.0, 3.0, -1.0, 1.0),), 6, 0.2)
-    assert sup_metric_gap(fam, grid, 2) == 0.0
-    assert curvature_gap(fam, VectorField.constant([1.0]), grid, 2) == 0.0
+    assert sup_metric_gap(fam, grid, 2) == [0.0]
+    assert curvature_gap(fam, VectorField.constant([1.0]), grid, 2) == [0.0]
 
 
 def test_metric_gap_trend_and_ratio():
     # annulus-style grid with margin 0.2: first-order decay in 1/j
     fam = family_1d()
     grid = CompactGrid(((-0.97, 3.03, -2.0, 2.0),), 21, 0.2)
-    gaps = {j: sup_metric_gap(fam, grid, j) for j in (1, 8, 16, 32, 64)}
+    gaps = {j: sup_metric_gap(fam, grid, j)[0] for j in (1, 8, 16, 32, 64)}
     assert gaps[64] < gaps[8] < gaps[1]
     assert abs(gaps[32] / gaps[16] - 0.5) < 0.125
     assert gaps[64] < 1e-2 * gaps[1]
@@ -47,8 +47,7 @@ def test_metric_gap_trend_and_ratio():
 def test_curvature_gap_trend():
     fam = family_1d()
     X = VectorField.constant([1.0])
-    g4 = curvature_gap(fam, X, grid_1d(), 4)
-    g64 = curvature_gap(fam, X, grid_1d(), 64)
+    g4, g64 = curvature_gap(fam, X, grid_1d(), 4, 64)
     assert g64 < 0.1 * g4
 
 
@@ -83,9 +82,9 @@ def test_twisted_constant_unit_converges():
     # different defining function (metric differs from the untwisted one)...
     assert sup_metric_gap(
         DivisorFamily(fam.f0, tfam.member_fn, fam.J), grid, 8
-    ) > 0.0
+    )[0] > 0.0
     # ...but the twisted family still converges
-    g = {j: sup_metric_gap(tfam, grid, j) for j in (1, 8, 64)}
+    g = {j: sup_metric_gap(tfam, grid, j)[0] for j in (1, 8, 64)}
     assert g[64] < g[8] < g[1]
 
 
@@ -177,63 +176,45 @@ def _bits(xs):
     return [struct.pack("<d", x) for x in xs]
 
 
-def _gap(kind, fam, grid, X, j):
+def _gaps(kind, fam, grid, X, *js):
     if kind == "metric":
-        return sup_metric_gap(fam, grid, j)
-    return curvature_gap(fam, X, grid, j)
+        return sup_metric_gap(fam, grid, *js)
+    return curvature_gap(fam, X, grid, *js)
 
 
 @pytest.mark.parametrize("kind", ["metric", "leaf"])
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_gaps_in_sequence_match_fresh_families(name, kind):
-    # later calls read the f_0 side the first call memoized on the family;
-    # every gap must keep the bits of a call on a fresh family
+    # one call shares its f_0 side among all its j; every gap must keep the
+    # bits of a one-j call on a fresh family
     family, grid, V = FAMILIES[name]
     X = VectorField.constant(V)
-    fam, g = family(), grid()
-    seq = [_gap(kind, fam, g, X, j) for j in FAMILY_INDICES]
-    fresh = [_gap(kind, family(), grid(), X, j) for j in FAMILY_INDICES]
+    seq = _gaps(kind, family(), grid(), X, *FAMILY_INDICES)
+    fresh = [_gaps(kind, family(), grid(), X, j)[0] for j in FAMILY_INDICES]
     assert seq == fresh and _bits(seq) == _bits(fresh)
-    assert len(fam._limit_sides) == 1
 
 
-def test_second_field_gets_its_own_limit_side():
-    fam, g = family_2d(), grid_2d()
-    X1, X2 = VectorField.constant([1.0, 0.0]), VectorField.constant([1.0, 1.0j])
+@pytest.mark.parametrize("kind", ["metric", "leaf"])
+def test_batched_gaps_build_the_grid_once(monkeypatch, kind):
+    fam, g = family_1d(), grid_1d()
+    real = CompactGrid.points
+    calls = []
 
-    def fresh(X, j):
-        return curvature_gap(family_2d(), X, g, j)
+    def counted(grid, f0):
+        calls.append(f0)
+        return real(grid, f0)
 
-    got = [curvature_gap(fam, X1, g, 1), curvature_gap(fam, X2, g, 4),
-           curvature_gap(fam, X1, g, 64), curvature_gap(fam, X2, g, 64)]
-    want = [fresh(X1, 1), fresh(X2, 4), fresh(X1, 64), fresh(X2, 64)]
-    assert want[2] != want[3]  # the two fields give different gaps
-    assert _bits(got) == _bits(want)
-    # an equal field that is another object gets a fresh f_0 side too
-    X3 = VectorField.constant([1.0, 0.0])
-    assert _bits([curvature_gap(fam, X3, g, 8)]) == _bits([fresh(X3, 8)])
-    assert [X for X, _ in fam._limit_sides.values()] == [X3]
-
-
-def test_each_grid_gets_its_own_limit_side():
-    fam = family_1d()
-    box = (-0.97, 3.03, -2.0, 2.0)
-    # equal grids whose points differ in the sign of a zero coordinate
-    plus = CompactGrid((box[:2] + (-2.0, 0.0),), 21, 0.4)
-    minus = CompactGrid((box[:2] + (-2.0, -0.0),), 21, 0.4)
-    assert plus == minus
-    assert [str(p) for p in plus.points(fam.f0)] != [str(p) for p in minus.points(fam.f0)]
-    grids = [grid_1d(), CompactGrid((box,), 21, 0.2), plus, minus]
-    got = [sup_metric_gap(fam, g, j) for g, j in zip(grids, (1, 8, 16, 32))]
-    want = [sup_metric_gap(family_1d(), g, j) for g, j in zip(grids, (1, 8, 16, 32))]
-    assert _bits(got) == _bits(want)
-    assert len(fam._limit_sides) == 4
+    monkeypatch.setattr(CompactGrid, "points", counted)
+    # a repeated index gets its own gap, the same bits as its first
+    gaps = _gaps(kind, fam, g, VectorField.constant([1.0]), 1, 8, 64, 8)
+    assert len(gaps) == 4 and _bits(gaps[1:2]) == _bits(gaps[3:])
+    assert len(calls) == 1 and calls[0] is fam.f0
 
 
 @pytest.mark.parametrize("kind, target", [("metric", "metric_matrix"),
                                           ("leaf", "leaf_curvature")])
 def test_limit_side_exception_leaves_no_memo(monkeypatch, kind, target):
-    # the f_0 side is computed whole before any f_j, and kept once complete
+    # the f_0 side is computed whole before any f_j, and nothing outlives a call
     fam, g = family_1d(), grid_1d()
     X = VectorField.constant([1.0])
     n_pts = len(g.points(fam.f0))
@@ -248,28 +229,23 @@ def test_limit_side_exception_leaves_no_memo(monkeypatch, kind, target):
         return real(f, *args)
 
     monkeypatch.setattr(divisors, target, failing)
-    # an f_0 side that raises part way keeps nothing, and no f_j is evaluated
+    # an f_0 side that raises part way evaluates no f_j
     raise_on = lambda f: f is fam.f0 and len(seen) > 50
-    for j in (1, 8):
-        seen.clear()
-        with pytest.raises(OnDivisor, match="injected"):
-            _gap(kind, fam, g, X, j)
-        assert len(seen) == 51 and all(f is fam.f0 for f in seen)
-        assert fam._limit_sides == {}
-    # an f_j side that raises after a complete f_0 side leaves that side kept
+    with pytest.raises(OnDivisor, match="injected"):
+        _gaps(kind, fam, g, X, 1, 8)
+    assert len(seen) == 51 and all(f is fam.f0 for f in seen)
+    # an f_j side that raises comes after a complete f_0 side
     raise_on = lambda f: f is not fam.f0
     seen.clear()
     with pytest.raises(OnDivisor, match="injected"):
-        _gap(kind, fam, g, X, 8)
+        _gaps(kind, fam, g, X, 8, 64)
     assert len(seen) == n_pts + 1 and all(f is fam.f0 for f in seen[:-1])
-    assert len(fam._limit_sides) == 1
-    # ... and a later call reads it, with the bits of a fresh family
+    # a later call computes its f_0 side again, with the bits of a fresh family
     raise_on = None
     seen.clear()
-    got = _gap(kind, fam, g, X, 8)
-    assert len(seen) == n_pts and all(f is not fam.f0 for f in seen)
-    assert _bits([got]) == _bits([_gap(kind, family_1d(), g, X, 8)])
-    assert len(fam._limit_sides) == 1
+    got = _gaps(kind, fam, g, X, 8, 64)
+    assert len(seen) == 3 * n_pts and all(f is fam.f0 for f in seen[:n_pts])
+    assert _bits(got) == _bits(_gaps(kind, family_1d(), g, X, 8, 64))
 
 
 @pytest.mark.parametrize("j", [1, 64])
@@ -278,17 +254,17 @@ def test_sup_metric_gap_bit_identical_to_norm_form(family, grid, j):
     # the largest singular value from np.linalg.svd is the value
     # np.linalg.norm(diff, 2) returns, bit for bit
     fam, g = family(), grid()
-    got, want = sup_metric_gap(fam, g, j), norm_sup_metric_gap(fam, g, j)
+    got, want = sup_metric_gap(fam, g, j)[0], norm_sup_metric_gap(fam, g, j)
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_sup_metric_gaps_in_sequence_bit_identical_to_norm_form(name):
-    # gaps called in sequence on one family, so every j after the first reads
-    # the memoized G_0: each must be the value np.linalg.norm(diff, 2) gives on
-    # a fresh G_0, bit for bit, through the SVD for n = 2 and |d| for n = 1
+    # one call for every j, so every j reads the G_0 list the call built once:
+    # each gap must be the value np.linalg.norm(diff, 2) gives on a fresh G_0,
+    # bit for bit, through the SVD for n = 2 and |d| for n = 1
     family, grid, _ = FAMILIES[name]
     fam, g = family(), grid()
-    got = [sup_metric_gap(fam, g, j) for j in FAMILY_INDICES]
+    got = sup_metric_gap(fam, g, *FAMILY_INDICES)
     want = [norm_sup_metric_gap(fam, g, j) for j in FAMILY_INDICES]
     assert _bits(got) == _bits(want)

@@ -229,6 +229,17 @@ def test_gradient_overflow_raises_before_any_block():
         metric_det(f, (0, 1e-30))
 
 
+def test_metric_matrix_gradient_overflow_is_domain_overflow():
+    # G was NaN here, with an overflow and an invalid-value warning from a a*;
+    # metric_matrix now raises metric_det's error before the product
+    f = HoloMap.poly(2, {(1, 0): 1e160, (0, 1): -1e160})
+    with pytest.raises(DomainOverflow, match=r"det G = 1 \+ gamma \|grad f\|\^2 overflows"):
+        metric_matrix(f, (0, 1e-30))
+    # hsc keeps its conditioning error
+    with pytest.raises(SolveFailure, match="metric conditioning inf"):
+        hsc(f, (0, 1e-30), (1, 0))
+
+
 def test_direction_of_wrong_length_rejected():
     f = HoloMap.poly(2, {(1, 1): 1, (0, 0): -1})
     for V, k in [(1.0, 1), ([1.0], 1), ((1, 0, 0), 3)]:
