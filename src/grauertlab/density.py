@@ -289,7 +289,10 @@ def grauert_curvature(z: complex) -> float:
     z = complex(z)
     if z == 0:
         raise ValueError("curvature undefined at z = 0")
-    t = abs(z) ** 2
+    try:
+        t = abs(z) ** 2
+    except OverflowError:
+        raise DomainOverflow(f"|z|^2 overflows at z = {z!r} (|z| = {abs(z):.3e})") from None
     g, _, _ = gamma_jet(t)
     return -2.0 * m_factor(t) / _pow(float(g), 3)
 

@@ -1,7 +1,7 @@
 """Convergence experiments for families of principal divisors.
 
 A family is a sequence of defining functions f_j with a declared limit f_0,
-convergence supplied as data (closed-form coefficient paths in 1/j).
+convergence supplied as data (coefficient paths in 1/j, and twisting units).
 Metric and leaf-curvature gaps are measured as sups over a fixed compact
 grid with an exclusion margin around the limit divisor.
 """
@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -28,40 +28,40 @@ LIMINF_TOL = 1e-6
 
 @dataclass(frozen=True)
 class DivisorFamily:
-    """Defining functions f_j -> f_0, indexed by a finite list J."""
+    """Defining functions f_j = h (base + per_j / j) -> f_0, indexed by J;
+    ``base`` and ``per_j`` are (exponent, coefficient) pairs in template
+    order, ``units`` the polynomial twists h, innermost first."""
 
     f0: HoloMap
-    member_fn: Callable[[int], HoloMap]
+    base: tuple[tuple[tuple[int, ...], complex], ...]
+    per_j: tuple[tuple[tuple[int, ...], complex], ...]
     J: tuple[int, ...]
+    units: tuple[Polynomial, ...] = ()
 
     def __post_init__(self):
         if not self.J:
             raise ValueError("index list J must be nonempty")
         if any(j < 1 for j in self.J):
             raise ValueError("family indices must be >= 1")
-        n = self.f0.n
-        if self.member_fn(self.J[0]).n != n:
-            raise ValueError("family members must share the dimension of f0")
+        Polynomial(self.f0.n, dict(self.per_j))  # exponents fit the dimension of f0
 
     def member(self, j: int) -> HoloMap:
-        return self.member_fn(j)
+        terms = dict(self.base)
+        for exp, c in self.per_j:
+            terms[exp] = terms.get(exp, 0) + c / j
+        p = Polynomial(self.f0.n, terms)
+        for h in self.units:
+            p = h * p
+        return HoloMap(p)
 
     @staticmethod
     def from_template(
         f0: Polynomial, base: dict, per_j: dict, J: Sequence[int]
     ) -> "DivisorFamily":
         """Family with coefficients base[exp] + per_j[exp] / j; base must be f0."""
-        n = f0.n
-        if Polynomial(n, base) != f0:
+        if Polynomial(f0.n, base) != f0:
             raise ValueError("the family template's base is not f0")
-
-        def member(j: int) -> HoloMap:
-            terms = dict(base)
-            for exp, c in per_j.items():
-                terms[exp] = terms.get(exp, 0) + c / j
-            return HoloMap(Polynomial(n, terms))
-
-        return DivisorFamily(HoloMap(f0), member, tuple(J))
+        return DivisorFamily(HoloMap(f0), tuple(base.items()), tuple(per_j.items()), tuple(J))
 
     @staticmethod
     def from_json(obj) -> "DivisorFamily":
@@ -189,13 +189,9 @@ def twisted_family(fam: DivisorFamily, unit: HoloMap, grid: CompactGrid) -> Divi
         raise UnitVanishes(f"min |h| = {low:.3e} on the grid")
     if unit.den is not None:
         raise ValueError("twisting unit must be polynomial")
-
-    def member(j: int) -> HoloMap:
-        fj = fam.member(j)
-        return HoloMap(unit.num * fj.num, fj.den)
-
-    f0 = HoloMap(unit.num * fam.f0.num, fam.f0.den)
-    return DivisorFamily(f0, member, fam.J)
+    return replace(
+        fam, f0=HoloMap(unit.num * fam.f0.num, fam.f0.den), units=(*fam.units, unit.num)
+    )
 
 
 def liminf_check(fam: DivisorFamily, p, V, tail: int) -> dict:

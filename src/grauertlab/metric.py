@@ -114,11 +114,11 @@ def metric_matrix(f: HoloMap, z) -> np.ndarray:
     where det G = 1 + gamma |grad f|^2 is not finite, before a a^* is formed."""
     a, g = _gradient_and_gamma(f, z)
     _det(a, g, z)
-    # the product np.outer forms, then G = (G + G^*) / 2 in place: the same
-    # element operations as 0.5 * (G + G.conj().T), Hermitian by construction
+    # np.outer's product, then G = G/2 + G^*/2 in place: Hermitian by construction,
+    # finite up to the det G limit, and 0.5 * (G + G^*) bit for bit above subnormals
     G = g * (a[:, None] * a.conj()[None, :]) + _identity(f.n)
-    G += G.conj().T
     G *= 0.5
+    G += G.conj().T
     return G
 
 

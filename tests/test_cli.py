@@ -3,6 +3,7 @@ and the no-partial-artifacts contract."""
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -100,6 +101,15 @@ def test_kg_grid_overflow_exit_2_no_output(workdir, capsys):
     assert main(["kg-grid", "--rmin", "1e52", "--rmax", "1e60", "--angles", "2",
                  "--radii", "3", "--out", str(out)]) == 2
     assert "error: DomainOverflow: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_kg_grid_t_overflow_exit_2_no_output(workdir, capsys):
+    # |z|^2 itself overflows above |z| ~ 1.34e154: a raw OverflowError escaped
+    out = workdir / "kg.csv"
+    assert main(["kg-grid", "--rmin", "1e155", "--rmax", "1e160", "--angles", "1",
+                 "--radii", "2", "--out", str(out)]) == 2
+    assert "error: DomainOverflow: |z|^2 overflows at z = " in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -207,6 +217,18 @@ def test_metric_eval_det_overflow_exit_2_no_output(workdir, capsys):
                  "--V", "0", "0", "--out", str(out)]) == 2
     assert not out.exists()
     assert "error: DomainOverflow: det G" in capsys.readouterr().err
+
+
+def test_metric_eval_finite_g_up_to_det_limit_under_warning_error(workdir):
+    # det G is 1.2e308; G was written as [[Infinity]] with exit 0, after an
+    # "overflow encountered in add" from its symmetrization
+    json.dump(HoloMap.poly(1, {(1,): 7.75e153}).to_json(), open(workdir / "fb.json", "w"))
+    out = workdir / "m.json"
+    r = _main_under_warning_error(["metric-eval", "--f", str(workdir / "fb.json"), "--z",
+                                   repr(1 / 7.75e153), "--V", "1", "--out", str(out)])
+    assert r.returncode == 0, r.stderr
+    rep = json.load(open(out))
+    assert rep["G"] == [[[rep["detG"], 0.0]]] and 1.2e308 < rep["detG"] < math.inf
 
 
 def test_hsc_and_kplus(workdir):

@@ -214,6 +214,15 @@ def test_kg_overflow_is_domain_overflow(r, flt):
             m_factor(r**2)
 
 
+@pytest.mark.parametrize("r", [1.35e154, 1e155, 1e300])
+def test_kg_t_overflow_is_domain_overflow(r):
+    # |z|^2 overflows a Python float above |z| ~ 1.34e154: abs(z) ** 2 raised a
+    # raw OverflowError before M(t) was reached
+    z = r * np.exp(0.3j)
+    with pytest.raises(DomainOverflow, match=r"\|z\|\^2 overflows at z = "):
+        grauert_curvature(z)
+
+
 def test_kg_below_overflow_stays_a_value():
     # the error path moved, not the threshold: just below it K_g is a value
     assert -1e-200 < grauert_curvature(2.0e51) < 0.0

@@ -1,6 +1,8 @@
 """Tests for divisor families, compact grids, gap measurements, twisting,
 and the liminf inequality check."""
 
+import dataclasses
+import pickle
 import struct
 
 import numpy as np
@@ -80,12 +82,22 @@ def test_twisted_constant_unit_converges():
     grid = grid_1d()
     tfam = twisted_family(fam, HoloMap.constant(1, 2.0), grid)
     # different defining function (metric differs from the untwisted one)...
-    assert sup_metric_gap(
-        DivisorFamily(fam.f0, tfam.member_fn, fam.J), grid, 8
-    )[0] > 0.0
+    assert sup_metric_gap(dataclasses.replace(tfam, f0=fam.f0), grid, 8)[0] > 0.0
     # ...but the twisted family still converges
     g = {j: sup_metric_gap(tfam, grid, j)[0] for j in (1, 8, 64)}
     assert g[64] < g[8] < g[1]
+
+
+def test_twice_twisted_members_multiply_inner_unit_first():
+    # guard: h2 * (h1 * f_j), term for term, in the order the units were applied
+    fam = family_1d()
+    h1 = HoloMap.poly(1, {(0,): 2.0, (1,): 1.0})
+    h2 = HoloMap.poly(1, {(0,): 3.0, (1,): -0.5j})
+    tfam = twisted_family(twisted_family(fam, h1, grid_1d()), h2, grid_1d())
+    assert tfam.f0.num.terms == (h2.num * (h1.num * fam.f0.num)).terms
+    for j in FAMILY_INDICES:
+        want = h2.num * (h1.num * fam.member(j).num)
+        assert list(tfam.member(j).num.terms.items()) == list(want.terms.items())
 
 
 def test_twisted_roots_unchanged():
@@ -153,6 +165,13 @@ def test_family_template_base_must_be_f0():
     f0 = Polynomial(1, {(1,): 1, (0,): -1})
     with pytest.raises(ValueError, match="base is not f0"):
         DivisorFamily.from_template(f0, {(1,): 1, (0,): -1.5}, {(0,): 0.5}, [1, 2])
+
+
+def test_family_member_dimension_checked_at_construction():
+    # guard: a wrong-length 1/j exponent raises before any member is built
+    f0 = Polynomial(1, {(1,): 1, (0,): -1})
+    with pytest.raises(ValueError, match="bad exponent"):
+        DivisorFamily.from_template(f0, dict(f0.terms), {(0, 0): 1.0}, [1, 2])
 
 
 def test_n2_canonical_grids_nonempty():
@@ -268,3 +287,20 @@ def test_sup_metric_gaps_in_sequence_bit_identical_to_norm_form(name):
     got = sup_metric_gap(fam, g, *FAMILY_INDICES)
     want = [norm_sup_metric_gap(fam, g, j) for j in FAMILY_INDICES]
     assert _bits(got) == _bits(want)
+
+
+def test_families_equal_and_hash_by_value():
+    assert family_1d() == family_1d() and hash(family_1d()) == hash(family_1d())
+    assert twisted_family_1d() == twisted_family_1d()
+    assert hash(twisted_family_1d()) == hash(twisted_family_1d())
+    assert family_1d() != family_1d((1, 2)) and family_1d() != twisted_family_1d()
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_family_pickle_round_trip_keeps_members(name):
+    fam = FAMILIES[name][0]()
+    back = pickle.loads(pickle.dumps(fam))
+    assert back == fam
+    for j in FAMILY_INDICES:
+        got, want = back.member(j).num.terms, fam.member(j).num.terms
+        assert list(got.items()) == list(want.items())

@@ -240,6 +240,16 @@ def test_metric_matrix_gradient_overflow_is_domain_overflow():
         hsc(f, (0, 1e-30), (1, 0))
 
 
+def test_metric_matrix_finite_up_to_det_limit():
+    # det G = 1 + gamma |f'|^2 is 1.2e308 here, and G = [[det G]]; symmetrizing
+    # doubled the entry to inf first ("overflow encountered in add")
+    f = HoloMap.poly(1, {(1,): 7.75e153})
+    z = (1 / 7.75e153,)
+    G = metric_matrix(f, z)
+    assert G.tolist() == [[complex(metric_det(f, z))]]
+    assert 1.2e308 < G[0, 0].real < np.inf
+
+
 def test_direction_of_wrong_length_rejected():
     f = HoloMap.poly(2, {(1, 1): 1, (0, 0): -1})
     for V, k in [(1.0, 1), ([1.0], 1), ((1, 0, 0), 3)]:
