@@ -4,15 +4,15 @@ Design contract: exit 0 on success (and all-pass for ``verify``), exit 1 on
 a failed verification check, exit 2 on configuration, IO, domain or
 floating-point errors.  Bad arguments, descriptors and output paths raise
 ``ValueError``, the one input-error type.  Output files are written
-atomically (temp file + rename) and floats are printed with 17 significant
-digits so every CSV round-trips to identical doubles.
+atomically (temp file + rename).  A CSV cell is an int (``m``, ``j``) or a
+float printed ``%.17g``, so every CSV round-trips to identical doubles.  The
+parser is built once per process and keeps no state between calls.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
+import functools
 import json
 import os
 import re
@@ -38,9 +38,8 @@ from .verify import DEFAULT_SEED, SUITES, run_suite
 
 FLOAT_FMT = "%.17g"
 
-
-def _fmt(x: float) -> str:
-    return FLOAT_FMT % float(x)
+#: printf conversion of each CSV cell type; a cell of any other type is refused
+_CELL_FMT = {float: FLOAT_FMT, np.float64: FLOAT_FMT, int: "%d"}
 
 
 def _parse_complex(tok: str) -> complex:
@@ -88,15 +87,19 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def emit_grid(rows: list, schema: list[str], out: str | None) -> None:
-    """CSV of ``rows``, each in ``schema`` order: RFC-4180, LF, round-trip floats."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(schema)
+    """CSV of ``rows``, each in ``schema`` order, LF-terminated: float cells
+    print as FLOAT_FMT, int cells as ``str`` does, one format string a row."""
+    lines = [",".join(schema)]
     for row in rows:
         if len(row) != len(schema):
             raise ValueError(f"row of {len(row)} values for schema {schema}")
-        w.writerow([_fmt(x) if isinstance(x, float) else x for x in row])
-    _emit(buf.getvalue(), out)
+        try:
+            fmt = ",".join([_CELL_FMT[type(x)] for x in row])
+        except KeyError as exc:
+            raise ValueError(f"CSV cells are floats or ints, not {exc.args[0].__name__}") from None
+        lines.append(fmt % tuple(row))
+    lines.append("")
+    _emit("\n".join(lines), out)
 
 
 def _emit_json(obj: dict, out: str | None) -> None:
@@ -125,8 +128,8 @@ def _cmd_u_table(a) -> int:
 def _cmd_kg_grid(a) -> int:
     if not 0 < a.rmin < a.rmax or a.angles < 1 or a.radii < 1:
         raise ValueError("need 0 < rmin < rmax, angles >= 1, radii >= 1")
-    zs = (r * np.exp(2j * np.pi * q / a.angles)
-          for r in np.geomspace(a.rmin, a.rmax, a.radii) for q in range(a.angles))
+    turns = [np.exp(2j * np.pi * q / a.angles) for q in range(a.angles)]
+    zs = (r * w for r in np.geomspace(a.rmin, a.rmax, a.radii) for w in turns)
     rows = [(float(z.real), float(z.imag), grauert_curvature(z)) for z in zs]
     emit_grid(rows, ["re", "im", "Kg"], a.out)
     return 0
@@ -246,6 +249,7 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\.?\d")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(
         prog="grauertlab",

@@ -258,6 +258,12 @@ def m_factor(t: float) -> float:
     DomainOverflow where 2 t^3 overflows a Python float (t >~ 4.48e102, so
     |z| >~ 2.1165e51), checked before the terms can meet inf - inf.
     """
+    return _gamma_and_m(u_jet(t))[1]
+
+
+def _gamma_and_m(j: UJet) -> tuple[float, float]:
+    """gamma(t) and M(t) from one profile jet: the one evaluation path of M."""
+    t, u, up, upp = j
     try:
         t2, t3 = t**2, t**3
         if math.isinf(2.0 * t3):
@@ -267,9 +273,8 @@ def m_factor(t: float) -> float:
             f"M(t) overflows at t = {t!r} (|z| = {math.sqrt(t):.3e}) in its t-domain"
             f" form; {_LOG_DOMAIN}"
         ) from None
-    _, u, up, upp = u_jet(t)
     u2, u3, up2 = _pow(u, 2), _pow(u, 3), _pow(up, 2)
-    return (
+    M = (
         u2
         + 6.0 * t * u * up
         + 2.0 * t2 * up2
@@ -278,6 +283,7 @@ def m_factor(t: float) -> float:
         - 2.0 * t3 * u2 * up2
         + 2.0 * t3 * u3 * upp
     )
+    return 1.0 + t * u2, M
 
 
 def grauert_curvature(z: complex) -> float:
@@ -293,8 +299,8 @@ def grauert_curvature(z: complex) -> float:
         t = abs(z) ** 2
     except OverflowError:
         raise DomainOverflow(f"|z|^2 overflows at z = {z!r} (|z| = {abs(z):.3e})") from None
-    g, _, _ = gamma_jet(t)
-    return -2.0 * m_factor(t) / _pow(float(g), 3)
+    g, M = _gamma_and_m(u_jet(t))
+    return -2.0 * M / _pow(g, 3)
 
 
 def power_curvature(k: int, z: complex) -> float:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import DensityJet, gaussian_conformal, pullback_density_jet
-from .errors import DegenerateDirection, SingularField
+from .errors import DegenerateDirection, DomainOverflow, SingularField
 from .holomorphic import HoloMap, Polynomial, _as_point, _json_object, eval_jet
 
 #: |X(p)| below this counts as a singular point of the field
@@ -84,8 +84,8 @@ def integrate_leaf(X: VectorField, p) -> LeafChart:
     jets = [eval_jet(comp, p, 1) for comp in X.components]
     p = jets[0].point
     c1 = np.array([jet.value for jet in jets])
-    # |X(p)| by the dot products np.linalg.norm runs on a complex vector
-    if math.sqrt(c1.real.dot(c1.real) + c1.imag.dot(c1.imag)) <= FIELD_TOL:
+    # |X(p)| without squaring a part, which would overflow from ~1.3e154
+    if math.hypot(*c1.real, *c1.imag) <= FIELD_TOL:
         raise SingularField(f"|X({p})| <= {FIELD_TOL}")
     JX = np.array([jet.gradient() for jet in jets])
     return LeafChart(p, np.array([p, c1, (JX @ c1) / 2]))
@@ -152,9 +152,22 @@ def divisor_approach(f: HoloMap, p, path) -> list[dict]:
 
 def geometric_path(base, direction, start: float = 1.0, ratio: float = 0.1,
                    steps: int = 9) -> list[tuple[complex, ...]]:
-    """Points base + start * ratio^m * direction, m = 1..steps."""
+    """Points base + start * ratio^m * direction, m = 1..steps.
+
+    DomainOverflow where a point overflows, ratio^m included.
+    """
     base = np.asarray(base, dtype=complex)
     direction = np.asarray(direction, dtype=complex)
-    return [
-        tuple(base + start * ratio**m * direction) for m in range(1, steps + 1)
-    ]
+    path = []
+    for m in range(1, steps + 1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                scale = start * ratio**m
+            except OverflowError:
+                scale = math.inf
+            z = base + scale * direction
+        if np.isinf(z).any():
+            raise DomainOverflow(
+                f"path point m = {m} overflows (start = {start!r}, ratio = {ratio!r})")
+        path.append(tuple(z))
+    return path

@@ -1,7 +1,9 @@
 """Tests for the command-line front-end: schemas, determinism, exit codes,
 and the no-partial-artifacts contract."""
 
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -11,9 +13,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import grauertlab
-from grauertlab.cli import FLOAT_FMT, main
+from grauertlab.cli import FLOAT_FMT, emit_grid, main
 from grauertlab.curvature import hsc
 from grauertlab.divisors import CompactGrid, DivisorFamily, curvature_gap, sup_metric_gap
 from grauertlab.foliation import VectorField
@@ -551,3 +555,88 @@ def test_import_leaves_scipy_unloaded():
     r = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                        text=True, timeout=120, check=True)
     assert r.stdout.strip() == "False"
+
+
+def test_leaf_approach_ratio_overflow_exit_2_no_output(workdir, capsys):
+    # ratio^m overflows a Python float at m = 31: a raw OverflowError escaped
+    json.dump(HoloMap.poly(1, {(1,): 1}).to_json(), open(workdir / "fz.json", "w"))
+    out = workdir / "ap.csv"
+    assert main(["leaf-approach", "--f", str(workdir / "fz.json"), "--base", "0",
+                 "--direction", "1", "--ratio", "1e10", "--steps", "40",
+                 "--out", str(out)]) == 2
+    assert "error: DomainOverflow: path point m = 31 overflows" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _csv_writer_grid(rows, schema) -> str:
+    """A grid as csv.writer wrote it, each float cell formatted FLOAT_FMT."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(schema)
+    for row in rows:
+        w.writerow([FLOAT_FMT % float(x) if isinstance(x, float) else x for x in row])
+    return buf.getvalue()
+
+
+_EDGE_FLOATS = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+                2.2250738585072009e-308, 1e308, -1e308, 1.7976931348623157e308]
+_FLOAT_CELLS = st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS))
+_COLUMN_CELLS = {
+    "float": _FLOAT_CELLS,
+    "float64": _FLOAT_CELLS.map(np.float64),
+    "int": st.integers(),
+    "mixed": st.one_of(_FLOAT_CELLS, st.integers()),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_emit_grid_bytes_match_csv_writer(data):
+    kinds = data.draw(st.lists(st.sampled_from(sorted(_COLUMN_CELLS)), min_size=1, max_size=6))
+    rows = data.draw(st.lists(st.tuples(*(_COLUMN_CELLS[k] for k in kinds)), max_size=8))
+    schema = [f"c{i}" for i in range(len(kinds))]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        emit_grid(rows, schema, None)
+    assert buf.getvalue() == _csv_writer_grid(rows, schema)
+
+
+@pytest.mark.parametrize("cell", ["1.5", True, False, None])
+def test_emit_grid_refuses_other_cells(cell, capsys):
+    with pytest.raises(ValueError, match="floats or ints, not "):
+        emit_grid([(1.0, 2), (1.0, cell)], ["a", "b"], None)
+    assert capsys.readouterr().out == ""
+
+
+def _call(argv) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``main(argv)`` in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, out.getvalue(), err.getvalue()
+
+
+def test_parser_reused_within_a_process(workdir, monkeypatch):
+    # main builds its parser once per process; each call writes what it
+    # writes as the first call of a fresh interpreter
+    monkeypatch.setenv("COLUMNS", "80")
+    f2 = str(workdir / "f2.json")
+    calls = [
+        ["u-table", "--t-min", "0.5", "--t-max", "2", "--points", "5"],
+        ["u-table", "--t-min", "0.5"],
+        ["--help"],
+        ["kplus", "--f", f2, "--p", "2", "1", "--samples", "64", "--seed", "5"],
+        ["kplus", "--f", f2, "--p", "2", "1"],
+    ]
+    src = Path(grauertlab.__file__).resolve().parent.parent
+    code = "import sys; from grauertlab.cli import main; sys.exit(main(sys.argv[1:]))"
+    for argv in calls:
+        fresh = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                               text=True, timeout=120,
+                               env={**os.environ, "PYTHONPATH": str(src)})
+        assert _call(argv) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert [_call(argv)[0] for argv in calls] == [0, 2, 0, 0, 0]
+    assert json.loads(_call(calls[-1])[1])["samples"] == 256

@@ -304,3 +304,30 @@ def test_hk_blow_up_and_vanishing_ratios():
         j = hk_density_jet(k, 1e-8)
         assert abs(j.d) / j.h**3 < 1e-6
         assert abs(j.ddbar) / j.h**3 < 1e-6
+
+
+def test_grauert_curvature_bits_match_m_factor_over_gamma_cubed():
+    # one profile jet per K_g: the bits of -2 M(t) / gamma(t)^3 from m_factor
+    # and gamma_jet, NaN below |z| ~ 1e-39 included
+    def cube(x):
+        try:
+            return x**3
+        except OverflowError:
+            return math.inf
+
+    for r in np.geomspace(1e-140, 1e51, 19101):
+        t = float(r) ** 2
+        want = -2.0 * m_factor(t) / cube(float(gamma_jet(t)[0]))
+        assert np.float64(grauert_curvature(float(r))).tobytes() == np.float64(want).tobytes(), r
+
+
+@pytest.mark.parametrize("r, message", [
+    (2.2e51, "M(t) overflows at t = 4.84e+102 (|z| = 2.200e+51) in its t-domain form;"
+             " a log-domain form of the profile would lift this limit"),
+    (1.4e154, "|z|^2 overflows at z = (1.4e+154+0j) (|z| = 1.400e+154)"),
+    (1e141, "t=1e+282 above domain ceiling 1e+280"),
+])
+def test_grauert_curvature_overflow_messages(r, message):
+    with pytest.raises(DomainOverflow) as exc:
+        grauert_curvature(r)
+    assert type(exc.value) is DomainOverflow and str(exc.value) == message

@@ -1,14 +1,25 @@
 """Tests for leaf integration, leaf-restricted densities, leaf curvature,
 the transverse field, and divisor-approach limits."""
 
+import math
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grauertlab.curvature import hsc, line_curvature
-from grauertlab.errors import GrauertError, LeafIllConditioned, OnDivisor, SingularField
+from grauertlab.errors import (
+    DomainOverflow,
+    GrauertError,
+    LeafIllConditioned,
+    OnDivisor,
+    SingularField,
+)
 from grauertlab.foliation import (
+    FIELD_TOL,
     VectorField,
     divisor_approach,
     geometric_path,
@@ -365,3 +376,44 @@ def test_gamma_overflow_is_on_divisor_on_line_and_leaf(terms, z):
         line_curvature(f, z)
     with pytest.raises(OnDivisor, match=r"overflows at \(.*,\)"):
         leaf_curvature(f, VectorField.constant([1.0]), z)
+
+
+@pytest.mark.parametrize("base, direction, start, ratio, m", [
+    ((0.0,), (1.0,), 1.0, 1e10, 31),  # ratio^m: a raw OverflowError escaped
+    ((0.0,), (1.0,), 1e300, 10.0, 9),  # start * ratio^m is inf: inf * 0j warned
+    ((0.0, 1.0), (1e308, 1.0), 1.0, 2.0, 1),  # 2 * 1e308 warned
+    ((1e308,), (1e308,), 1.0, 0.9, 1),  # the sum warned
+])
+def test_geometric_path_overflow_is_domain_overflow(base, direction, start, ratio, m):
+    message = f"path point m = {m} overflows (start = {start!r}, ratio = {ratio!r})"
+    with pytest.raises(DomainOverflow, match=re.escape(message)):
+        geometric_path(base, direction, start=start, ratio=ratio, steps=40)
+
+
+@pytest.mark.parametrize("flt", ["default", "error"])
+def test_huge_field_norm_is_domain_overflow(flt):
+    # |X(p)| = 1e200: squaring it warned "overflow encountered in dot", which
+    # -W error raised in place of the DomainOverflow
+    f = HoloMap.poly(1, {(1,): 1, (0,): -1})
+    with warnings.catch_warnings():
+        warnings.simplefilter(flt)
+        with pytest.raises(DomainOverflow):
+            leaf_curvature(f, VectorField.constant([1e200]), (2.0,))
+
+
+def test_singular_field_decision_matches_squared_norm():
+    # where the sum of squares stays finite and normal, |X(p)| <= FIELD_TOL
+    # is decided as by sqrt(|Re c1|^2 + |Im c1|^2)
+    rng = np.random.default_rng(20)
+    for _ in range(2000):
+        n = int(rng.integers(1, 4))
+        decades = (-11.0, -9.0) if rng.random() < 0.7 else (-100.0, 100.0)
+        V = 10.0 ** rng.uniform(*decades) * (rng.normal(size=n) + 1j * rng.normal(size=n))
+        p = rng.normal(size=n) + 1j * rng.normal(size=n)
+        singular = math.sqrt(V.real.dot(V.real) + V.imag.dot(V.imag)) <= FIELD_TOL
+        try:
+            integrate_leaf(VectorField.constant(V), p)
+        except SingularField:
+            assert singular, V
+        else:
+            assert not singular, V
