@@ -65,7 +65,7 @@ def holo_sectional_curvature(f: HoloMap, p, V) -> float:
     num = np.einsum("ijkl,i,j,k,l->", R, V, np.conj(V), V, np.conj(V))
     if abs(num.imag) > REAL_RESIDUE_TOL * max(1.0, abs(num.real)):
         raise ArithmeticError(f"sectional numerator not real: {num}")
-    return float(2.0 * num.real / phi**2)
+    return float(2.0 * num.real / (phi * phi))
 
 
 hsc = holo_sectional_curvature

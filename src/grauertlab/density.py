@@ -118,13 +118,23 @@ def _pow(x: float, n: int) -> float:
         return math.inf
 
 
+def _abs(c: complex) -> float:
+    """|c|, saturating to inf where it overflows a double, as numpy's abs
+    does; Python's abs raises OverflowError there."""
+    try:
+        return abs(c)
+    except OverflowError:
+        return math.inf
+
+
 def gamma_jet(t: float) -> tuple[float, float, float]:
     """gamma(t) = 1 + t u^2(t) with first and second derivatives.
 
-    Python float arithmetic, returned as numpy scalars: the complex chains of
-    :func:`pullback_density_jet` then multiply as numpy complex, which rounds
-    unlike Python complex (thm51's final |K+4| gap at a zero of order 2 would
-    move from 1.2308376540204335e-11 to 1.0663470106919704e-11).
+    Python float arithmetic, returned as numpy scalars.  A product of numpy
+    scalars rounds as the same product of Python floats or complex numbers
+    does; only products inside numpy arrays may round differently, so
+    :func:`pullback_density_jet` takes these as Python floats, and the
+    metric blocks, which batch them into arrays, take them as they are.
     """
     t, u, up, upp = u_jet(t)
     u2 = _pow(u, 2)
@@ -196,22 +206,29 @@ def pullback_density_jet(z: complex, g0: complex, g1: complex, g2: complex,
     Where :func:`_finite_gamma` puts g0 on the divisor, OnDivisor names ``z``;
     where h^3 >= |g'|^6 overflows, DomainOverflow does, before d and ddbar.
     """
-    t, (g, gp, gpp) = _finite_gamma(g0, 2, z)
-    s = _pow(float(abs(g1)), 2)
-    h = float(g) * s + float(np.vdot(chi0, chi0).real)
+    t, gj = _finite_gamma(g0, 2, z)
+    # one conversion to Python scalars, which round as numpy scalars do
+    # without numpy's per-operation dispatch; the chi dots stay in numpy,
+    # where for n >= 2 the BLAS sum order is part of the bits
+    g, gp, gpp = map(float, gj)
+    g0, g1, g2 = complex(g0), complex(g1), complex(g2)
+    s = _pow(_abs(g1), 2)
+    h = g * s + float(np.vdot(chi0, chi0).real)
     if math.isinf(_pow(h, 3)):
         raise DomainOverflow(_H3_OVERFLOWS.format(z))
-    d = gp * g1 * g0.conjugate() * s + g * g2 * g1.conjugate() + np.dot(chi1, np.conj(chi0))
+    d = (gp * g1 * g0.conjugate() * s + g * g2 * g1.conjugate()
+         + complex(np.dot(chi1, np.conj(chi0))))
     s2 = _pow(s, 2)
     ddbar = (
         gpp * t * s2
         + gp * s2
-        + 2.0 * (gp * g1**2 * (g0 * g2).conjugate()).real
-        + g * _pow(float(abs(g2)), 2)
+        # g1 * g1 is numpy's g1**2; Python's complex ** raises OverflowError
+        # where the square overflows, which numpy's does not
+        + 2.0 * (gp * (g1 * g1) * (g0 * g2).conjugate()).real
+        + g * _pow(_abs(g2), 2)
         + float(np.vdot(chi1, chi1).real)
     )
-    d = complex(d)
-    return DensityJet(z, float(h), d, d.conjugate(), float(ddbar))
+    return DensityJet(z, h, d, d.conjugate(), ddbar)
 
 
 def hk_density_jet(k: int, z: complex) -> DensityJet:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .density import DensityJet, gaussian_conformal, pullback_density_jet
 from .errors import DegenerateDirection, DomainOverflow, SingularField
-from .holomorphic import HoloMap, Polynomial, _as_point, _json_object, eval_jet
+from .holomorphic import HoloMap, Polynomial, _as_point, _json_object, _unit_indices, eval_jet
 
 #: |X(p)| below this counts as a singular point of the field
 FIELD_TOL = 1e-10
@@ -83,12 +83,16 @@ def integrate_leaf(X: VectorField, p) -> LeafChart:
     """
     jets = [eval_jet(comp, p, 1) for comp in X.components]
     p = jets[0].point
-    c1 = np.array([jet.value for jet in jets])
+    c1 = [jet.value for jet in jets]
     # |X(p)| without squaring a part, which would overflow from ~1.3e154
-    if math.hypot(*c1.real, *c1.imag) <= FIELD_TOL:
+    if math.hypot(*(v.real for v in c1), *(v.imag for v in c1)) <= FIELD_TOL:
         raise SingularField(f"|X({p})| <= {FIELD_TOL}")
-    JX = np.array([jet.gradient() for jet in jets])
-    return LeafChart(p, np.array([p, c1, (JX @ c1) / 2]))
+    units = _unit_indices(len(p))
+    JX = np.array([[jet.coeffs[e] for e in units] for jet in jets])
+    coeffs = np.array([p, c1, c1])  # row 2 becomes J_X c_1 / 2
+    np.matmul(JX, coeffs[1], out=coeffs[2])
+    coeffs[2] /= 2
+    return LeafChart(p, coeffs)
 
 
 # -- leaf-restricted density and curvature ----------------------------------

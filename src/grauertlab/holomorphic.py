@@ -4,6 +4,9 @@ A :class:`HoloMap` is a polynomial C^n -> C, or a quotient of two polynomials
 whose denominator must not vanish at any queried point.  Jets collect the
 holomorphic partials up to order 3 at a point; a value is the order-0 jet,
 so values and partials come from one evaluation path, :func:`eval_jet`.
+It runs straight-line code generated from each polynomial's term shape (the
+exponents in term order) and from the quotient's (n, order), compiled once
+per shape into bounded caches; the coefficients are bound at run time.
 """
 
 from __future__ import annotations
@@ -18,10 +21,23 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .errors import DenominatorVanishes, DomainOverflow, NonFiniteInput, OrderUnsupported
+from .errors import (
+    DenominatorVanishes,
+    DomainOverflow,
+    GrauertError,
+    NonFiniteInput,
+    OrderUnsupported,
+)
 
 #: hard cap on per-variable exponents; desk experiments stay far below
 DEGREE_CAP = 32
+
+#: term shapes (and quotient shapes) whose compiled jet code is kept: a
+#: compile costs about 160 us, binding a kept shape to a polynomial about 1 us
+JET_SHAPES = 256
+
+#: terms per statement of a generated row: far below the compiler's recursion limit
+_ROW_TERMS = 256
 
 
 def _as_point(p, n: int) -> tuple[complex, ...]:
@@ -54,8 +70,9 @@ def _json_int(v) -> int:
 class Polynomial:
     """Sparse multivariate polynomial: multi-index exponent -> coefficient.
 
-    ``terms`` is read-only, so the jet plans compiled from it and cached on
-    the instance (one per jet order, built on first use) cannot go stale.
+    ``terms`` is read-only, so the jets bound to it and cached on the
+    instance (one per jet order, built on first use) cannot go stale; pickling
+    drops them, and a copy binds its own.
     """
 
     n: int
@@ -95,12 +112,22 @@ class Polynomial:
         # the read-only terms view does not pickle; rebuild from a dict
         return Polynomial, (self.n, dict(self.terms))
 
-    def _plan(self, order: int) -> tuple:
-        """The jet plan of :func:`_compile_jet` for ``order``, built once."""
-        plan = self._plans.get(order)
-        if plan is None:
-            plan = self._plans[order] = _compile_jet(self, order)
-        return plan
+    def _jet(self, order: int):
+        """``jet(z)``, the dict of partials up to ``order`` at a point tuple
+        ``z``: the compiled code of :func:`_poly_jet_code` for these terms'
+        shape, bound once to their coefficients."""
+        jet = self._plans.get(order)
+        if jet is None:
+            make, folds = _poly_jet_code(self.n, order, tuple(self.terms))
+            cs = tuple(self.terms.values())
+            bound = []
+            for t, factors in folds:
+                c = cs[t]
+                for k in factors:
+                    c *= k
+                bound.append(c)
+            jet = self._plans[order] = make(tuple(bound))
+        return jet
 
     def partial(self, i: int) -> "Polynomial":
         out = {}
@@ -290,58 +317,101 @@ class Jet(NamedTuple):
         return np.array([[c[alpha] for alpha in row] for row in _pair_indices(self.n)])
 
 
-def _compile_jet(p: Polynomial, order: int) -> tuple:
-    """The plan :func:`_poly_jet` runs: ``(powers, rows)``.
+def _overflow(z: tuple[complex, ...]) -> GrauertError:
+    """The error of a jet at ``z`` where a power raises OverflowError: Python's
+    complex ** raises where a power overflows or meets an inf."""
+    if not all(map(cmath.isfinite, z)):
+        return NonFiniteInput(f"point {z} is not finite")
+    return DomainOverflow(f"a power of {z} overflows")
 
-    ``powers`` lists the (variable, exponent) pairs whose powers a jet reads.
-    ``rows`` holds, for each alpha of :func:`_multi_indices`, the terms with
-    exp >= alpha in term order, each as its coefficient times the falling
-    factorials of d^alpha (variable 0 first) and the slots in ``powers`` of
-    its remaining factors z_i^(e_i - alpha_i), in variable order.
+
+def _compile(name: str, lines: list[str]):
+    """The function ``name`` that the source ``lines`` define."""
+    namespace = {"_overflow": _overflow, "DenominatorVanishes": DenominatorVanishes}
+    exec(compile("\n".join(lines), f"<grauertlab jet code: {name}>", "exec"), namespace)
+    return namespace[name]
+
+
+@functools.lru_cache(maxsize=JET_SHAPES)
+def _poly_jet_code(n: int, order: int, exps: tuple[tuple[int, ...], ...]) -> tuple:
+    """Straight-line jet code for every polynomial whose terms have the
+    exponents ``exps``, in that order: ``(make, folds)``.
+
+    ``make(cs)`` binds the tuple of row coefficients and returns ``jet(z)``,
+    the dict of the partials d^alpha p(z) over :func:`_multi_indices`.  Row
+    alpha is ``0j + c*z_i^k*... + ...``, left to right over the terms with
+    exp >= alpha in term order, each its coefficient times the falling
+    factorials of d^alpha times the powers z_i^(e_i - alpha_i), variable 0
+    first: the operations, in order, of evaluating the derivative
+    polynomials that ``Polynomial.partial`` builds, so bit-identical to them.
+    Each power is one Python ``**``, all of them in one ``try`` before the
+    first row.  ``folds`` holds, for each bound coefficient in turn, the
+    index of its term and the factors e - k of its falling factorials.
+    The source holds integer indices and fixed names only.
     """
     slots: dict = {}
+    folds = []
     rows = []
-    for alpha in _multi_indices(p.n, order):
-        terms = []
-        for exp, c in p.terms.items():
+    alphas = _multi_indices(n, order)
+    for r, alpha in enumerate(alphas):
+        row = ["0j"]
+        for t, exp in enumerate(exps):
             if any(e < a for e, a in zip(exp, alpha)):
                 continue
-            for e, a in zip(exp, alpha):
-                for k in range(a):
-                    c *= e - k
-            factors = tuple(
-                slots.setdefault((i, e - a), len(slots))
+            factors = [f"c{len(folds)}"] + [
+                f"p{slots.setdefault((i, e - a), len(slots))}"
                 for i, (e, a) in enumerate(zip(exp, alpha))
                 if e > a
-            )
-            terms.append((c, factors))
-        rows.append((alpha, tuple(terms)))
-    return tuple(slots), tuple(rows)
+            ]
+            row.append("*".join(factors))
+            folds.append((t, tuple(e - k for e, a in zip(exp, alpha) for k in range(a))))
+        # a long sum continues in further statements, as the compiler
+        # recurses once per operator of an expression
+        for i in range(0, len(row), _ROW_TERMS):
+            head = f"r{r} + " if i else ""
+            rows.append(f"        r{r} = {head}{' + '.join(row[i:i + _ROW_TERMS])}")
+    body = []
+    if slots:
+        body += [f"        {''.join(f'z{i}, ' for i in range(n))}= z", "        try:"]
+        body += [f"            p{s} = z{i} ** {k}" for (i, k), s in slots.items()]
+        body += ["        except OverflowError:", "            raise _overflow(z) from None"]
+    if folds:
+        # a closure cell per coefficient would make the compile quadratic in them
+        body.insert(0, f"        {''.join(f'c{k}, ' for k in range(len(folds)))}= cs")
+    lines = [
+        "def make(cs):",
+        "    def jet(z):",
+        *body,
+        *rows,
+        f"        return {{{', '.join(f'{alpha!r}: r{r}' for r, alpha in enumerate(alphas))}}}",
+        "    return jet",
+    ]
+    return _compile("make", lines), tuple(folds)
 
 
-def _poly_jet(p: Polynomial, z: tuple[complex, ...], order: int) -> dict:
-    """Partials d^alpha p(z), |alpha| <= order, straight from the terms: the
-    operations, in order, of evaluating the derivative polynomials that
-    ``Polynomial.partial`` builds (variable 0 first), so bit-identical to them.
-    Each power z_i^k is computed once per call.
+@functools.lru_cache(maxsize=JET_SHAPES)
+def _quotient_jet_code(n: int, order: int):
+    """``quotient(z, num, den)``: the jet of num / den at ``z`` from the jet
+    dicts of both polynomials, in straight-line code.
+
+    DenominatorVanishes where den(z) == 0.  Otherwise Leibniz inversion of
+    num = q den: each coefficient is ``(N_alpha - b*q_beta*D_delta - ...) / D0``
+    over the steps of :func:`_leibniz_plan`, in plan order.
     """
-    powers, rows = p._plan(order)
-    try:
-        zk = [z[i] ** k for i, k in powers]
-    except OverflowError:
-        # Python's complex ** raises where a power overflows or meets an inf
-        if not all(map(cmath.isfinite, z)):
-            raise NonFiniteInput(f"point {z} is not finite") from None
-        raise DomainOverflow(f"a power of {z} overflows") from None
-    coeffs = {}
-    for alpha, terms in rows:
-        total = 0j
-        for c, factors in terms:
-            for s in factors:
-                c *= zk[s]
-            total += c
-        coeffs[alpha] = total
-    return coeffs
+    index = {alpha: k for k, alpha in enumerate(_multi_indices(n, order))}
+    names = range(len(index))
+    lines = [
+        "def quotient(z, num, den):",
+        f"    {''.join(f'N{k}, ' for k in names)}= num.values()",
+        f"    {''.join(f'D{k}, ' for k in names)}= den.values()",
+        "    if D0 == 0:",
+        '        raise DenominatorVanishes(f"denominator vanishes at {z}")',
+    ]
+    for alpha, steps in _leibniz_plan(n, order):
+        acc = "".join(f" - {b}*q{index[beta]}*D{index[diff]}" for b, beta, diff in steps)
+        lines.append(f"    q{index[alpha]} = (N{index[alpha]}{acc}) / D0")
+    lines.append(f"    return {{{', '.join(f'{alpha!r}: q{k}' for alpha, k in index.items())}}}")
+    return _compile("quotient", lines)
 
 
 def eval_jet(f: HoloMap, p, order: int) -> Jet:
@@ -349,18 +419,7 @@ def eval_jet(f: HoloMap, p, order: int) -> Jet:
     if order > 3 or order < 0:
         raise OrderUnsupported(f"jet order {order} unsupported (max 3)")
     z = _as_point(p, f.n)
-    num = _poly_jet(f.num, z, order)
+    num = f.num._jet(order)(z)
     if f.den is None:
         return Jet(z, num)
-    den = _poly_jet(f.den, z, order)
-    d0 = den[(0,) * f.n]
-    if d0 == 0:
-        raise DenominatorVanishes(f"denominator vanishes at {z}")
-    # Leibniz inversion: num = q * den determines the quotient jet recursively.
-    q: dict = {}
-    for alpha, steps in _leibniz_plan(f.n, order):
-        acc = num[alpha]
-        for binom, beta, diff in steps:
-            acc -= binom * q[beta] * den[diff]
-        q[alpha] = acc / d0
-    return Jet(z, q)
+    return Jet(z, _quotient_jet_code(f.n, order)(z, num, f.den._jet(order)(z)))

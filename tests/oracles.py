@@ -1,7 +1,10 @@
 """Reference oracles for the tests.
 
 :func:`symbolic_jet` evaluates a map's partials the long way, through the
-derivative polynomials, as the reference for :func:`grauertlab.holomorphic.eval_jet`.
+derivative polynomials, as the reference for :func:`grauertlab.holomorphic.eval_jet`;
+:func:`loop_jet` is the term and Leibniz loops that the generated jet code
+of :func:`grauertlab.holomorphic.eval_jet` unrolls, its bit-for-bit
+reference on every input, errors included.
 :func:`wirtinger_fd` is the stencil oracle for first and mixed-second
 Wirtinger derivatives of real-smooth scalar fields on C.  :func:`series_chart`
 integrates a leaf to any order by composing the field with truncated power
@@ -20,15 +23,17 @@ loop forms of the metric blocks and the curvature tensor, with ``np.outer``
 and every product written out inside the loops, and :func:`loop_hsc` is the
 sectional curvature on them: the shipped forms batch the blocks over k, l
 and must match them bit for bit.  :func:`errstate_u_jet`,
-:func:`numpy_gamma_jet`, :func:`outer_metric_matrix` and
-:func:`norm_sup_metric_gap` are the numpy forms of the profile jet, the
-gamma jet, the metric matrix and the sup metric gap (one fresh f_0 side per
+:func:`numpy_gamma_jet`, :func:`numpy_pullback_density_jet`,
+:func:`outer_metric_matrix` and :func:`norm_sup_metric_gap` are the numpy
+forms of the profile jet, the gamma jet, the pullback density jet, the
+metric matrix and the sup metric gap (one fresh f_0 side per
 call, no memo), which the shipped forms, free of per-call numpy overhead,
 must also match bit for bit.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -45,12 +50,27 @@ from grauertlab.density import (
     DensityJet,
     UJet,
     _finite_gamma,
+    _H3_OVERFLOWS,
+    _pow,
     u_jet,
 )
 from grauertlab.divisors import CompactGrid, DivisorFamily
-from grauertlab.errors import GrauertError, SolveFailure
+from grauertlab.errors import (
+    DenominatorVanishes,
+    DomainOverflow,
+    GrauertError,
+    NonFiniteInput,
+    SolveFailure,
+)
 from grauertlab.foliation import LeafChart, VectorField
-from grauertlab.holomorphic import HoloMap, Polynomial, _as_point, _multi_indices, eval_jet
+from grauertlab.holomorphic import (
+    HoloMap,
+    Polynomial,
+    _as_point,
+    _leibniz_plan,
+    _multi_indices,
+    eval_jet,
+)
 from grauertlab.metric import (
     COND_LIMIT,
     MetricDerivatives,
@@ -130,6 +150,77 @@ def _quotient_jet(f: HoloMap, poly_jet: Callable[[Polynomial], dict], order: int
                 diff = tuple(a - b for a, b in zip(alpha, beta))
                 acc -= binom * q[beta] * den[diff]
         q[alpha] = acc / den[(0,) * f.n]
+    return q
+
+
+def _loop_jet_plan(p: Polynomial, order: int) -> tuple:
+    """The plan :func:`loop_poly_jet` runs: ``(powers, rows)``.
+
+    ``powers`` lists the (variable, exponent) pairs whose powers a jet reads.
+    ``rows`` holds, for each alpha of :func:`_multi_indices`, the terms with
+    exp >= alpha in term order, each as its coefficient times the falling
+    factorials of d^alpha (variable 0 first) and the slots in ``powers`` of
+    its remaining factors z_i^(e_i - alpha_i), in variable order.
+    """
+    slots: dict = {}
+    rows = []
+    for alpha in _multi_indices(p.n, order):
+        terms = []
+        for exp, c in p.terms.items():
+            if any(e < a for e, a in zip(exp, alpha)):
+                continue
+            for e, a in zip(exp, alpha):
+                for k in range(a):
+                    c *= e - k
+            factors = tuple(
+                slots.setdefault((i, e - a), len(slots))
+                for i, (e, a) in enumerate(zip(exp, alpha))
+                if e > a
+            )
+            terms.append((c, factors))
+        rows.append((alpha, tuple(terms)))
+    return tuple(slots), tuple(rows)
+
+
+def loop_poly_jet(p: Polynomial, z: tuple[complex, ...], order: int) -> dict:
+    """Partials d^alpha p(z), |alpha| <= order, by the term loop over the
+    plan of :func:`_loop_jet_plan`, each power z_i^k computed once."""
+    powers, rows = _loop_jet_plan(p, order)
+    try:
+        zk = [z[i] ** k for i, k in powers]
+    except OverflowError:
+        if not all(map(cmath.isfinite, z)):
+            raise NonFiniteInput(f"point {z} is not finite") from None
+        raise DomainOverflow(f"a power of {z} overflows") from None
+    coeffs = {}
+    for alpha, terms in rows:
+        total = 0j
+        for c, factors in terms:
+            for s in factors:
+                c *= zk[s]
+            total += c
+        coeffs[alpha] = total
+    return coeffs
+
+
+def loop_jet(f: HoloMap, p, order: int) -> dict:
+    """:func:`grauertlab.holomorphic.eval_jet`'s coefficients by the term
+    loop and, for a quotient, the Leibniz loop over
+    :func:`grauertlab.holomorphic._leibniz_plan`."""
+    z = _as_point(p, f.n)
+    num = loop_poly_jet(f.num, z, order)
+    if f.den is None:
+        return num
+    den = loop_poly_jet(f.den, z, order)
+    d0 = den[(0,) * f.n]
+    if d0 == 0:
+        raise DenominatorVanishes(f"denominator vanishes at {z}")
+    q: dict = {}
+    for alpha, steps in _leibniz_plan(f.n, order):
+        acc = num[alpha]
+        for binom, beta, diff in steps:
+            acc -= binom * q[beta] * den[diff]
+        q[alpha] = acc / d0
     return q
 
 
@@ -264,6 +355,30 @@ def numpy_gamma_jet(t: float) -> tuple:
         gp = u**2 + 2.0 * t * u * up
         gpp = 4.0 * u * up + 2.0 * t * (up**2 + u * upp)
     return g, gp, gpp
+
+
+def numpy_pullback_density_jet(z, g0, g1, g2, chi0, chi1) -> DensityJet:
+    """:func:`grauertlab.density.pullback_density_jet` with g1, g2 and the
+    gamma jet as numpy scalars, so each scalar product is a numpy-scalar
+    product, and numpy's overflow and invalid-value warnings silenced."""
+    t, (g, gp, gpp) = _finite_gamma(g0, 2, z)
+    g1, g2 = np.complex128(g1), np.complex128(g2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = _pow(float(abs(g1)), 2)
+        h = float(g) * s + float(np.vdot(chi0, chi0).real)
+        if math.isinf(_pow(h, 3)):
+            raise DomainOverflow(_H3_OVERFLOWS.format(z))
+        d = gp * g1 * g0.conjugate() * s + g * g2 * g1.conjugate() + np.dot(chi1, np.conj(chi0))
+        s2 = _pow(s, 2)
+        ddbar = (
+            gpp * t * s2
+            + gp * s2
+            + 2.0 * (gp * g1**2 * (g0 * g2).conjugate()).real
+            + g * _pow(float(abs(g2)), 2)
+            + float(np.vdot(chi1, chi1).real)
+        )
+    d = complex(d)
+    return DensityJet(z, float(h), d, d.conjugate(), float(ddbar))
 
 
 def profile_sweep(strata: int = 4000, seed: int = 0) -> list[float]:

@@ -28,18 +28,23 @@ from grauertlab.verify import SUITES, grid_1d
 REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference"
 
 
+def _dump(obj, path: Path) -> None:
+    """Write ``obj`` as JSON to ``path``, closing the file."""
+    path.write_text(json.dumps(obj))
+
+
+def _load(path: Path):
+    """The JSON object at ``path``, read with the file closed again."""
+    return json.loads(path.read_text())
+
+
 @pytest.fixture
 def workdir(tmp_path):
-    json.dump(
-        HoloMap.poly(2, {(1, 1): 1, (0, 0): -1}).to_json(),
-        open(tmp_path / "f2.json", "w"),
-    )
-    json.dump(
-        HoloMap.poly(1, {(1,): 1, (0,): -1}).to_json(), open(tmp_path / "f1.json", "w")
-    )
-    json.dump(VectorField.constant([1.0]).to_json(), open(tmp_path / "X1.json", "w"))
-    json.dump(grid_1d().to_json(), open(tmp_path / "grid1.json", "w"))
-    json.dump(
+    _dump(HoloMap.poly(2, {(1, 1): 1, (0, 0): -1}).to_json(), tmp_path / "f2.json")
+    _dump(HoloMap.poly(1, {(1,): 1, (0,): -1}).to_json(), tmp_path / "f1.json")
+    _dump(VectorField.constant([1.0]).to_json(), tmp_path / "X1.json")
+    _dump(grid_1d().to_json(), tmp_path / "grid1.json")
+    _dump(
         {
             "f0": {"n": 1, "terms": [{"exp": [1], "re": 1}, {"exp": [0], "re": -1}]},
             "fj": {
@@ -52,7 +57,7 @@ def workdir(tmp_path):
             },
             "J": [1, 8, 64],
         },
-        open(tmp_path / "fam1.json", "w"),
+        tmp_path / "fam1.json",
     )
     return tmp_path
 
@@ -137,7 +142,7 @@ def test_metric_eval_json(workdir):
     out = workdir / "m.json"
     assert main(["metric-eval", "--f", str(workdir / "f2.json"), "--z", "2", "1",
                  "--V", "1", "0", "--out", str(out)]) == 0
-    rep = json.load(open(out))
+    rep = _load(out)
     assert set(rep) == {"phi", "G", "detG"}
     assert abs(rep["phi"] - (2 * 1 + 1)) < 1e-12  # gamma(1)=2, |df(V)|^2=1
     assert abs(rep["detG"] - 11.0) < 1e-12
@@ -150,7 +155,7 @@ def test_hsc_tiny_and_huge_directions_exit_0(workdir, v):
     out = workdir / "h.json"
     assert main(["hsc", "--f", str(workdir / "f2.json"), "--p", "2", "1",
                  "--V", v, v, "--out", str(out)]) == 0
-    K = json.load(open(out))["K"]
+    K = _load(out)["K"]
     ref = hsc(HoloMap.poly(2, {(1, 1): 1, (0, 0): -1}), (2, 1), (1, 1))
     assert abs(K - ref) < 1e-15 * abs(ref)
 
@@ -184,15 +189,14 @@ def test_hsc_huge_direction_exit_0_under_warning_error(workdir):
                                    "--V", "1e308", "1e308", "--out", str(out)])
     assert r.returncode == 0, r.stderr
     K = hsc(HoloMap.poly(2, {(1, 1): 1, (0, 0): -1}), (2, 1), (1, 1))
-    assert float.hex(json.load(open(out))["K"]) == float.hex(K)
+    assert float.hex(_load(out)["K"]) == float.hex(K)
 
 
 def test_gradient_overflow_is_solve_failure_under_warning_error(workdir):
     # |grad f|^2 overflows at a point off the divisor: the conditioning test
     # runs before the a a* block, whose product raised "overflow encountered
     # in multiply" under -W error
-    json.dump(HoloMap.poly(2, {(1, 0): 1e160, (0, 1): -1e160}).to_json(),
-              open(workdir / "fbig.json", "w"))
+    _dump(HoloMap.poly(2, {(1, 0): 1e160, (0, 1): -1e160}).to_json(), workdir / "fbig.json")
     r = _main_under_warning_error(["hsc", "--f", str(workdir / "fbig.json"),
                                    "--p", "0", "1e-30", "--V", "1", "0"])
     assert r.returncode == 2, r.stderr
@@ -214,8 +218,7 @@ def test_metric_eval_huge_direction_exit_2_no_output(workdir, capsys, z, V):
 
 def test_metric_eval_det_overflow_exit_2_no_output(workdir, capsys):
     # 1 + gamma |grad f|^2 overflows: "detG": Infinity was written with exit 0
-    json.dump(HoloMap.poly(2, {(1, 0): 1e160, (0, 1): -1e160}).to_json(),
-              open(workdir / "fbig.json", "w"))
+    _dump(HoloMap.poly(2, {(1, 0): 1e160, (0, 1): -1e160}).to_json(), workdir / "fbig.json")
     out = workdir / "m.json"
     assert main(["metric-eval", "--f", str(workdir / "fbig.json"), "--z", "0", "1e-30",
                  "--V", "0", "0", "--out", str(out)]) == 2
@@ -226,12 +229,12 @@ def test_metric_eval_det_overflow_exit_2_no_output(workdir, capsys):
 def test_metric_eval_finite_g_up_to_det_limit_under_warning_error(workdir):
     # det G is 1.2e308; G was written as [[Infinity]] with exit 0, after an
     # "overflow encountered in add" from its symmetrization
-    json.dump(HoloMap.poly(1, {(1,): 7.75e153}).to_json(), open(workdir / "fb.json", "w"))
+    _dump(HoloMap.poly(1, {(1,): 7.75e153}).to_json(), workdir / "fb.json")
     out = workdir / "m.json"
     r = _main_under_warning_error(["metric-eval", "--f", str(workdir / "fb.json"), "--z",
                                    repr(1 / 7.75e153), "--V", "1", "--out", str(out)])
     assert r.returncode == 0, r.stderr
-    rep = json.load(open(out))
+    rep = _load(out)
     assert rep["G"] == [[[rep["detG"], 0.0]]] and 1.2e308 < rep["detG"] < math.inf
 
 
@@ -239,11 +242,11 @@ def test_hsc_and_kplus(workdir):
     out = workdir / "h.json"
     assert main(["hsc", "--f", str(workdir / "f2.json"), "--p", "2", "1",
                  "--V", "1", "0", "--out", str(out)]) == 0
-    assert "K" in json.load(open(out))
+    assert "K" in _load(out)
     out2 = workdir / "k.json"
     assert main(["kplus", "--f", str(workdir / "f2.json"), "--p", "2", "1",
                  "--samples", "64", "--out", str(out2)]) == 0
-    rep = json.load(open(out2))
+    rep = _load(out2)
     assert set(rep) == {"k_plus", "direction", "samples", "seed"}
 
 
@@ -272,9 +275,9 @@ def test_converge_metric_csv(workdir):
 def test_converge_rows_match_fresh_family_gaps(workdir, command):
     # one call serves every j, sharing its f_0 side; each row, a repeated
     # index too, must still hold the bits of a one-j gap on a fresh family
-    fam_json = json.load(open(workdir / "fam1.json"))
+    fam_json = _load(workdir / "fam1.json")
     fam_json["J"] = [1, 2, 4, 8, 16, 64, 64]
-    json.dump(fam_json, open(workdir / "fam6.json", "w"))
+    _dump(fam_json, workdir / "fam6.json")
     out = workdir / "c.csv"
     argv = [command, "--family", str(workdir / "fam6.json"),
             "--grid", str(workdir / "grid1.json"), "--out", str(out)]
@@ -298,12 +301,12 @@ def test_converge_metric_gradient_overflow_exit_2_no_output(workdir, capsys,
                                                             warnings_as_errors):
     # |grad f_0|^2 = 1e320 overflows at every grid point: G_0 was NaN, with a
     # RuntimeWarning (exit 1 under -W error) or "SVD did not converge"
-    json.dump({"f0": {"n": 1, "terms": [{"exp": [1], "re": 1e160}]},
-               "fj": {"template": {"terms": [{"exp": [1], "re": 1e160},
-                                             {"exp": [0], "re_j": 1e130}]}},
-               "J": [1]}, open(workdir / "fbig.json", "w"))
-    json.dump(CompactGrid(((1e-23, 3e-23, -1e-23, 1e-23),), 3, 1e-6).to_json(),
-              open(workdir / "gbig.json", "w"))
+    _dump({"f0": {"n": 1, "terms": [{"exp": [1], "re": 1e160}]},
+           "fj": {"template": {"terms": [{"exp": [1], "re": 1e160},
+                                         {"exp": [0], "re_j": 1e130}]}},
+           "J": [1]}, workdir / "fbig.json")
+    _dump(CompactGrid(((1e-23, 3e-23, -1e-23, 1e-23),), 3, 1e-6).to_json(),
+          workdir / "gbig.json")
     out = workdir / "cm.csv"
     argv = ["converge-metric", "--family", str(workdir / "fbig.json"),
             "--grid", str(workdir / "gbig.json"), "--out", str(out)]
@@ -317,13 +320,13 @@ def test_converge_metric_gradient_overflow_exit_2_no_output(workdir, capsys,
 
 
 def test_liminf_report(workdir):
-    deep = json.load(open(workdir / "fam1.json"))
+    deep = _load(workdir / "fam1.json")
     deep["J"] = [10_000_000, 100_000_000]
-    json.dump(deep, open(workdir / "deep.json", "w"))
+    _dump(deep, workdir / "deep.json")
     out = workdir / "li.json"
     assert main(["liminf", "--family", str(workdir / "deep.json"), "--p", "3",
                  "--V", "1", "--tail", "10000000", "--out", str(out)]) == 0
-    rep = json.load(open(out))
+    rep = _load(out)
     assert set(rep) == {"K0", "Kj_min", "margin"}
     assert rep["margin"] >= -1e-6
 
@@ -331,7 +334,7 @@ def test_liminf_report(workdir):
 def test_verify_exit_codes(workdir):
     out = workdir / "v.json"
     assert main(["verify", "--suite", "lemma52", "--out", str(out)]) == 0
-    rep = json.load(open(out))
+    rep = _load(out)
     assert rep["pass"] and rep["suite"] == "lemma52"
     assert all(
         set(c) == {"name", "expected", "observed", "tolerance", "pass"}
@@ -352,9 +355,9 @@ def test_malformed_input_exit_2_no_partial_output(workdir):
 
 
 def test_family_base_not_f0_exit_2_no_output(workdir, capsys):
-    obj = json.load(open(workdir / "fam1.json"))
+    obj = _load(workdir / "fam1.json")
     obj["fj"]["template"]["terms"][1]["re"] = 5
-    json.dump(obj, open(workdir / "fam_bad.json", "w"))
+    _dump(obj, workdir / "fam_bad.json")
     out = workdir / "never.csv"
     code = main(["converge-metric", "--family", str(workdir / "fam_bad.json"),
                  "--grid", str(workdir / "grid1.json"), "--out", str(out)])
@@ -364,9 +367,9 @@ def test_family_base_not_f0_exit_2_no_output(workdir, capsys):
 
 
 def test_unknown_keys_rejected(workdir):
-    obj = json.load(open(workdir / "grid1.json"))
+    obj = _load(workdir / "grid1.json")
     obj["extra"] = 1
-    json.dump(obj, open(workdir / "grid_bad.json", "w"))
+    _dump(obj, workdir / "grid_bad.json")
     code = main(["converge-metric", "--family", str(workdir / "fam1.json"),
                  "--grid", str(workdir / "grid_bad.json")])
     assert code == 2
@@ -401,7 +404,7 @@ SCHEMA_DEFECTS = {
 def test_descriptor_schema_defect_exit_2_no_output(workdir, capsys, defect):
     name, edit = SCHEMA_DEFECTS[defect]
     bad = workdir / "bad.json"
-    json.dump(edit(json.load(open(workdir / name))), open(bad, "w"))
+    _dump(edit(_load(workdir / name)), bad)
     if name == "f1.json":
         argv = ["hsc", "--f", str(bad), "--p", "3", "--V", "1"]
     else:
@@ -425,7 +428,7 @@ def test_domain_error_exit_2(workdir, capsys):
 
 def test_metric_eval_gamma_overflow_exit_2_no_output(workdir, capsys):
     # gamma(|f|^2) overflows at z = 1e-80 on f = z: exit 2, no NaN written
-    json.dump(HoloMap.poly(1, {(1,): 1}).to_json(), open(workdir / "fz.json", "w"))
+    _dump(HoloMap.poly(1, {(1,): 1}).to_json(), workdir / "fz.json")
     out = workdir / "m.json"
     code = main(["metric-eval", "--f", str(workdir / "fz.json"), "--z", "1e-80",
                  "--V", "1", "--out", str(out)])
@@ -437,8 +440,7 @@ def test_metric_eval_gamma_overflow_exit_2_no_output(workdir, capsys):
 def test_hsc_gamma_overflow_exit_2_no_output(workdir, capsys):
     # gamma(|f|^2) overflows at p = (1e-100, 0) on f = z1 + z2: exit 2 with
     # OnDivisor, as metric-eval gives, not a conditioning failure
-    json.dump(HoloMap.poly(2, {(1, 0): 1, (0, 1): 1}).to_json(),
-              open(workdir / "fsum.json", "w"))
+    _dump(HoloMap.poly(2, {(1, 0): 1, (0, 1): 1}).to_json(), workdir / "fsum.json")
     out = workdir / "k.json"
     code = main(["hsc", "--f", str(workdir / "fsum.json"), "--p", "1e-100", "0",
                  "--V", "1", "0", "--out", str(out)])
@@ -451,7 +453,7 @@ def test_hsc_gamma_overflow_exit_2_no_output(workdir, capsys):
 def test_leaf_curvature_gamma_overflow_exit_2_no_output(workdir, capsys, p):
     # f = z: gamma's 2-jet overflows; "K": -Infinity was written at 1e-40 and
     # a raw OverflowError escaped at 1e-60
-    json.dump(HoloMap.poly(1, {(1,): 1}).to_json(), open(workdir / "fz.json", "w"))
+    _dump(HoloMap.poly(1, {(1,): 1}).to_json(), workdir / "fz.json")
     out = workdir / "K.json"
     code = main(["leaf-curvature", "--f", str(workdir / "fz.json"),
                  "--X", str(workdir / "X1.json"), "--p", p, "--out", str(out)])
@@ -467,7 +469,7 @@ def test_leaf_curvature_gamma_overflow_exit_2_under_warning_error(workdir, p):
     # no outcome depends on the warning filter: under -W error the overflowing
     # gamma jet still gives OnDivisor and exit 2, not a RuntimeWarning
     # traceback and exit 1
-    json.dump(HoloMap.poly(1, {(1,): 1}).to_json(), open(workdir / "fz.json", "w"))
+    _dump(HoloMap.poly(1, {(1,): 1}).to_json(), workdir / "fz.json")
     out = workdir / "K.json"
     r = _main_under_warning_error(["leaf-curvature", "--f", str(workdir / "fz.json"),
                                    "--X", str(workdir / "X1.json"), "--p", p,
@@ -541,7 +543,7 @@ def test_negative_coordinates_in_exponent_and_complex_form(workdir):
     assert main(["hsc", "--f", f, "--p", "-1+2j", "-2j", "--V", "-.5", "-1e-3j",
                  "--out", str(out)]) == 0
     K = hsc(HoloMap.poly(2, {(1, 1): 1, (0, 0): -1}), (-1 + 2j, -2j), (-0.5, -1e-3j))
-    assert json.load(open(out)) == {"K": K}
+    assert _load(out) == {"K": K}
     out = workdir / "m.json"
     assert main(["metric-eval", "--f", f, "--z", "-1e-3", "-1+2j", "--V", "1", "-2j",
                  "--out", str(out)]) == 0
@@ -559,7 +561,7 @@ def test_import_leaves_scipy_unloaded():
 
 def test_leaf_approach_ratio_overflow_exit_2_no_output(workdir, capsys):
     # ratio^m overflows a Python float at m = 31: a raw OverflowError escaped
-    json.dump(HoloMap.poly(1, {(1,): 1}).to_json(), open(workdir / "fz.json", "w"))
+    _dump(HoloMap.poly(1, {(1,): 1}).to_json(), workdir / "fz.json")
     out = workdir / "ap.csv"
     assert main(["leaf-approach", "--f", str(workdir / "fz.json"), "--base", "0",
                  "--direction", "1", "--ratio", "1e10", "--steps", "40",

@@ -139,6 +139,16 @@ def test_hsc_bit_identical_at_power_of_two_scalings(case, scale):
         assert float.hex(hsc(f, p, V * 2.0**e)) == float.hex(K)
 
 
+def test_hsc_bit_identical_at_every_power_of_two_inside_the_band():
+    # inside the band V is taken as given, so phi(p, V) scales by 2^(2e)
+    # exactly; phi * phi then scales exactly too, where libm's pow(phi, 2)
+    # moved the last bit at 61 of these 381 exponents
+    f = HoloMap.poly(1, {(2,): 1, (0,): -1})
+    K = float.hex(hsc(f, 0.3 + 0.2j, [-1.75]))
+    assert [e for e in range(-200, 181)
+            if float.hex(hsc(f, 0.3 + 0.2j, [math.ldexp(-1.75, e)])) != K] == []
+
+
 def test_hsc_takes_a_direction_whose_modulus_exceeds_the_largest_double():
     # |V_1| = 1.5 sqrt(2) 2^1023 overflows a double while its parts do not;
     # it was rejected as a non-finite direction
@@ -209,6 +219,9 @@ def test_critical_point_gamma_overflow_is_on_divisor():
     ({(3,): 1}, 1e40),  # |f'|^4 overflows a Python float, and h^3 >= |f'|^6 with it
     ({(1,): 1e80}, 1.0),  # |f'|^2 overflows
     ({(2,): 1e200, (0,): 1}, 0.0),  # |f''|^2 overflows at a critical point, so K does
+    # |f'| itself overflows a double from finite parts: Python's abs raised a
+    # raw OverflowError on the line path
+    ({(1,): 1.5e308 + 1.5e308j}, 1e-300),
 ])
 def test_line_curvature_overflow_is_domain_overflow(terms, z):
     # the line and leaf paths both raise DomainOverflow

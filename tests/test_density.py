@@ -28,7 +28,14 @@ from grauertlab.errors import (
     NonFiniteInput,
     OnDivisor,
 )
-from oracles import errstate_u_jet, numpy_gamma_jet, profile_sweep, raw_conformal, wirtinger_fd
+from oracles import (
+    errstate_u_jet,
+    numpy_gamma_jet,
+    numpy_pullback_density_jet,
+    profile_sweep,
+    raw_conformal,
+    wirtinger_fd,
+)
 
 
 def kg_oracle(t, dps=50):
@@ -188,6 +195,42 @@ def test_pullback_density_jet_below_divisor_tol_is_on_divisor():
     # rejects the point before the profile can report an underflow
     with pytest.raises(OnDivisor, match="f vanishes at"):
         pullback_density_jet(0.5, 1e-150, 1.0, 0.0, [1.0], [0.0])
+
+
+def _density_outcome(fn, *args):
+    """The jet's bits, or the error's type and message."""
+    try:
+        j = fn(*args)
+    except GrauertError as exc:
+        return type(exc).__name__, str(exc)
+    return [np.array(v).tobytes() for v in j[1:]]
+
+
+def test_pullback_density_jet_bit_identical_to_numpy_form():
+    # the chain runs on Python scalars, whose products round as numpy
+    # scalars' do; g1 and g2 come in as numpy scalars on the leaf path and as
+    # Python complex on the line path, and chi has 1 to 3 components (BLAS dots)
+    rng = np.random.default_rng(23)
+    zero = (0.0, -0.0)
+
+    def draw(scale):
+        if rng.random() < 0.1:
+            return complex(zero[rng.integers(2)], zero[rng.integers(2)])
+        return complex(*rng.normal(size=2)) * 10.0 ** rng.uniform(-scale, scale)
+
+    outcomes = set()
+    for i in range(6000):
+        scale = (2, 30, 160)[i % 3]
+        n = int(rng.integers(1, 4))
+        g0, g1, g2 = draw(scale), draw(scale), draw(scale)
+        chi0 = np.array([draw(scale) for _ in range(n)])
+        chi1 = np.array([draw(scale) for _ in range(n)])
+        want = _density_outcome(numpy_pullback_density_jet, 0.5j, g0, g1, g2, chi0, chi1)
+        for a, b in ((g1, g2), (np.complex128(g1), np.complex128(g2))):
+            got = _density_outcome(pullback_density_jet, 0.5j, g0, a, b, chi0, chi1)
+            assert got == want, (g0, g1, g2, chi0, chi1)
+        outcomes.add(want[0] if isinstance(want, tuple) else "value")
+    assert outcomes == {"value", "OnDivisor", "DomainOverflow"}
 
 
 def test_h2_at_unit_modulus():

@@ -296,6 +296,21 @@ def test_chart_matches_series_chart(salt):
         assert np.max(np.abs(ours[j] - ref[j])) <= 1e-13 * np.max(np.abs(ref[j]))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_chart_bit_identical_to_array_form(salt):
+    # the chart is one (3, n) array with J_X c_1 written into row 2: the bits
+    # of stacking the base, c_1 = X(p) and (J_X @ c_1) / 2 as separate arrays
+    _, X, p = _leaf_draw(np.random.default_rng(salt))
+    jets = [eval_jet(comp, p, 1) for comp in X.components]
+    c1 = np.array([jet.value for jet in jets])
+    JX = np.array([jet.gradient() for jet in jets])
+    want = np.array([jets[0].point, c1, (JX @ c1) / 2])
+    got = integrate_leaf(X, p).coeffs
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def test_leaf_curvature_rounding_against_mpmath():
     # every value the rounding guard accepts is within 1e-11 max(1, |K|) of
     # the chain-rule density jet evaluated at 50 digits

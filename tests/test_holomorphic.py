@@ -1,6 +1,7 @@
 """Tests for polynomial maps, jets, and the Wirtinger stencil oracle."""
 
 import json
+import math
 import pickle
 import struct
 
@@ -9,10 +10,26 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from grauertlab.errors import DenominatorVanishes, OrderUnsupported
+from grauertlab import holomorphic
+from grauertlab.errors import (
+    DenominatorVanishes,
+    DomainOverflow,
+    GrauertError,
+    NonFiniteInput,
+    OrderUnsupported,
+)
 from grauertlab.foliation import VectorField
-from grauertlab.holomorphic import HoloMap, Polynomial, _multi_indices, eval_jet
-from oracles import symbolic_jet, symbolic_value, wirtinger_fd
+from grauertlab.holomorphic import (
+    JET_SHAPES,
+    HoloMap,
+    Polynomial,
+    _multi_indices,
+    _poly_jet_code,
+    _quotient_jet_code,
+    eval_jet,
+)
+from grauertlab.verify import family_1d, family_2d
+from oracles import loop_jet, symbolic_jet, symbolic_value, wirtinger_fd
 
 
 def test_monomial_jet():
@@ -243,3 +260,155 @@ def test_terms_read_only():
     assert Polynomial(2, p.terms) == p
     q = pickle.loads(pickle.dumps(p))
     assert q == p and list(q.terms) == list(p.terms)
+
+
+def _outcome(jet, f, z, order):
+    """The coefficients' keys and bits, or the error's type and message."""
+    try:
+        coeffs = jet(f, z, order)
+    except GrauertError as exc:
+        return type(exc).__name__, str(exc)
+    coeffs = getattr(coeffs, "coeffs", coeffs)
+    return [(alpha, _bits(c)) for alpha, c in coeffs.items()]
+
+
+#: parts that reach the jets' edges: signed zeros, which the plain complex
+#: strategy rarely draws, a subnormal, parts whose powers overflow, and
+#: non-finite parts
+EDGE_PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -1e200, 1e160, math.inf, -math.inf, math.nan]),
+    st.floats(-3, 3),
+)
+
+
+@st.composite
+def edge_map_and_point(draw):
+    n = draw(st.integers(1, 3))
+    part = st.one_of(st.sampled_from([0.0, -0.0]), EDGE_PARTS)
+    cs = st.builds(complex, part, part)
+
+    def poly():
+        exps = draw(st.lists(st.tuples(*[st.integers(0, 4)] * n), max_size=5, unique=True))
+        return Polynomial(n, {e: draw(cs) for e in exps})
+
+    z = list(draw(st.lists(cs, min_size=n, max_size=n)))
+    den = None
+    if draw(st.booleans()):
+        den = poly()
+        if draw(st.booleans()):
+            # a denominator vanishing at z: z_0 (times one more term) at z_0 = +-0
+            den = Polynomial(n, {(1,) + (0,) * (n - 1): draw(cs), (1,) * n: 2.0})
+            z[0] = complex(draw(st.sampled_from([0.0, -0.0])), draw(st.sampled_from([0.0, -0.0])))
+        if not den.terms:
+            den = None
+    return HoloMap(poly(), den), tuple(z)
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_map_and_point())
+def test_eval_jet_bit_identical_to_loop_forms_at_the_edges(fz):
+    # the generated code is the term and Leibniz loops unrolled: the same
+    # bits, signed zeros and NaNs included, and the same error and message
+    f, z = fz
+    for order in range(4):
+        assert _outcome(eval_jet, f, z, order) == _outcome(loop_jet, f, z, order)
+
+
+SHIFTED = HoloMap.poly(1, {(3,): 1.0, (2,): -2.0j, (0,): 0.5})
+EDGE_CASES = {
+    # signed-zero parts, where z ** 1 is not z: the loop's powers are kept
+    "signed zeros": (HoloMap.poly(2, {(2, 1): 1.0, (1, 0): -1.0, (0, 0): -0.0j + 1}),
+                     (complex(-0.0, 0.0), complex(0.0, -0.0)), None),
+    "power overflows": (SHIFTED, (1e120,), DomainOverflow),
+    "infinite point": (SHIFTED, (complex(1.0, math.inf),), NonFiniteInput),
+    "NaN point": (SHIFTED, (complex(math.nan, 1.0),), None),
+    "denominator vanishes": (HoloMap(Polynomial(1, {(1,): 1.0}), Polynomial(1, {(1,): 2.0})),
+                             (complex(-0.0, 0.0),), DenominatorVanishes),
+    "quotient overflows in its denominator": (
+        HoloMap(Polynomial(1, {(0,): 1.0}), Polynomial(1, {(4,): 1.0, (0,): 1.0})),
+        (1e100,), DomainOverflow),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_CASES))
+def test_eval_jet_edge_cases_match_loop_forms(case):
+    f, z, error = EDGE_CASES[case]
+    for order in range(4):
+        got = _outcome(eval_jet, f, z, order)
+        assert got == _outcome(loop_jet, f, z, order)
+        # the order-0 powers of 1 + inf j are NaN, not an OverflowError, in
+        # the loop too; from order 1, z ** 1 meets the inf and raises
+        if order >= 1 or error is not NonFiniteInput:
+            assert (got[0] if isinstance(got, tuple) else None) == (error and error.__name__)
+
+
+def test_maps_of_one_shape_share_their_code_and_keep_their_coefficients(monkeypatch):
+    compiled = []
+    compile_ = holomorphic._compile
+    monkeypatch.setattr(holomorphic, "_compile",
+                        lambda name, lines: compiled.append(name) or compile_(name, lines))
+    # exponents above the strategies' range, so no other test compiled this shape
+    exps = [(7, 5), (0, 9), (6, 0), (0, 0)]
+    p = HoloMap(Polynomial(2, dict(zip(exps, [1.5, -2j, 0.25 + 1j, -1.0]))),
+                Polynomial(2, {(0, 0): 2.0, (5, 5): 1.0}))
+    q = HoloMap(Polynomial(2, dict(zip(exps, [-0.5j, 3.0, 1e-3, 7.0]))),
+                Polynomial(2, {(0, 0): -1.0, (5, 5): 0.5j}))
+    z = (0.7 - 0.2j, -0.4 + 0.9j)
+    _quotient_jet_code.cache_clear()  # (n, order) = (2, 3) is common
+    jp, jq = eval_jet(p, z, 3).coeffs, eval_jet(q, z, 3).coeffs
+    # one compile per polynomial shape and one for the quotient (n, order),
+    # all at the first jet: the second map binds the same code
+    assert sorted(compiled) == ["make", "make", "quotient"]
+    assert p.num._plans[3].__code__ is q.num._plans[3].__code__
+    assert p.num._plans[3] is not q.num._plans[3]
+    assert _outcome(eval_jet, p, z, 3) == _outcome(loop_jet, p, z, 3)
+    assert _outcome(eval_jet, q, z, 3) == _outcome(loop_jet, q, z, 3)
+    assert all(jp[a] != jq[a] for a in jp)
+    eval_jet(p, z, 3), eval_jet(q, z, 3)
+    assert len(compiled) == 3
+
+
+def test_jet_code_is_keyed_by_term_order_not_by_equality():
+    # equal polynomials whose terms sit in another order sum in another
+    # order, so they must not share code; the cache has a constant size
+    terms = [((2,), 0.3 + 1j), ((1,), -2.0), ((0,), 0.7j)]
+    p, q = Polynomial(1, dict(terms)), Polynomial(1, dict(terms[::-1]))
+    assert p == q
+    z = (0.6 - 1.3j,)
+    eval_jet(HoloMap(p), z, 2), eval_jet(HoloMap(q), z, 2)
+    assert p._plans[2].__code__ is not q._plans[2].__code__
+    for f in (HoloMap(p), HoloMap(q)):
+        assert _outcome(eval_jet, f, z, 2) == _outcome(loop_jet, f, z, 2)
+    assert _poly_jet_code.cache_info().maxsize == JET_SHAPES
+    assert _quotient_jet_code.cache_info().maxsize == JET_SHAPES
+
+
+def test_used_maps_and_families_pickle():
+    # a used map holds compiled jets, which do not pickle: pickling drops
+    # them, and the copy binds its own on its first jet, to the same bits
+    f = HoloMap(Polynomial(2, {(1, 1): 1, (2, 0): 0.5, (0, 0): -1}),
+                Polynomial(2, {(0, 1): 1, (0, 0): 2.5}))
+    z = (0.7 + 0.3j, 0.5 + 0.6j)
+    want = [_outcome(eval_jet, f, z, order) for order in range(4)]
+    back = pickle.loads(pickle.dumps(f))
+    assert back == f and not back.num._plans and not back.den._plans
+    assert [_outcome(eval_jet, back, z, order) for order in range(4)] == want
+    for fam in (family_1d(), family_2d()):
+        p = (0.3 + 0.2j,) * fam.f0.n
+        eval_jet(fam.f0, p, 2)
+        want = [_outcome(eval_jet, fam.member(j), p, 2) for j in fam.J]
+        back = pickle.loads(pickle.dumps(fam))
+        assert back == fam
+        assert [_outcome(eval_jet, back.member(j), p, 2) for j in back.J] == want
+
+
+def test_long_rows_match_loop_forms():
+    # 441 terms: each row sum continues over several statements, and every
+    # coefficient is bound, with the bits of the single term loop
+    rng = np.random.default_rng(5)
+    exps = [(i, j) for i in range(21) for j in range(21)]
+    rng.shuffle(exps)
+    f = HoloMap.poly(2, {e: complex(*rng.normal(size=2)) for e in exps})
+    z = (0.31 - 0.4j, -0.52 + 0.17j)
+    for order in range(4):
+        assert _outcome(eval_jet, f, z, order) == _outcome(loop_jet, f, z, order)
