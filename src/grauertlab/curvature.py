@@ -10,9 +10,9 @@ import math
 import numpy as np
 
 from .density import gaussian_conformal, pullback_density_jet
-from .errors import ZeroVector
+from .errors import LeafIllConditioned, ZeroVector
 from .holomorphic import HoloMap, _as_point, eval_jet
-from .metric import MetricDerivatives, _as_direction, metric_eval, metric_matrix_jet
+from .metric import MetricDerivatives, _as_direction, _phi, metric_matrix_jet
 
 #: imaginary residue allowed on algebraically-real quantities
 REAL_RESIDUE_TOL = 1e-8
@@ -32,8 +32,8 @@ def kahler_tensor(md: MetricDerivatives) -> np.ndarray:
     R = np.empty((n, n, n, n), dtype=complex)
     # written through a [k, l, i, j] view so R stays C-contiguous in
     # [i, j, k, l]: the einsum in hsc rounds by memory layout
-    np.add(-md.ddG, (md.dG @ md.Ginv)[:, None] @ dbarG[None, :],
-           out=R.transpose(2, 3, 0, 1))
+    np.subtract((md.dG @ md.Ginv)[:, None] @ dbarG[None, :], md.ddG,
+                out=R.transpose(2, 3, 0, 1))
     return R
 
 
@@ -41,11 +41,19 @@ def holo_sectional_curvature(f: HoloMap, p, V) -> float:
     """Holomorphic sectional curvature K(p, V) = 2 R(V,V.,V,V.) / phi(p,V)^2.
 
     Scale-invariant in V: V with max |V_i| outside _V_BAND is first scaled
-    by the power of two that puts it in [1, 2), and phi(p, V) is evaluated
-    once.  Normalized so the n = 1 value is the Gaussian curvature of the
-    conformal density.  Repeated calls at one point, as in
-    :func:`sup_sectional_curvature`, reuse the map's record of the point and
-    its curvature tensor.
+    by the power of two that puts it in [1, 2), V is checked once, and
+    phi(p, V) is evaluated once.  Where the imaginary residue of the
+    numerator R(V,V.,V,V.) exceeds REAL_RESIDUE_TOL x max(|its real part|,
+    phi^2), both of which scale as |V|^4, LeafIllConditioned rejects the
+    point at every scale of V.  Normalized so the n = 1 value is the
+    Gaussian curvature of the conformal density.
+
+    Every call evaluates two jets of f at p, the 2-jet behind the metric
+    blocks and the 1-jet behind phi.  Repeated calls at one point, as in
+    :func:`sup_sectional_curvature`, reuse the map's record of the point:
+    its metric blocks and curvature tensor are read, not rebuilt, so such a
+    call computes the two jets, the point's key, phi and the contraction
+    of the tensor with V.
     """
     V, m = _as_direction(V, f.n)
     if m == 0:
@@ -54,6 +62,7 @@ def holo_sectional_curvature(f: HoloMap, p, V) -> float:
         # two halves of k, so neither power of two overflows; an inf m is in [2^1024, 2^1025)
         k = 1 - (math.frexp(m)[1] if m < math.inf else 1025)
         V = V * math.ldexp(1.0, k // 2) * math.ldexp(1.0, k - k // 2)
+        m = 1.0  # max |V_i| now lies in [1, 2)
     md = metric_matrix_jet(f, p)
     # metric_matrix_jet leaves the map's record at p, so a tensor it holds is md's
     R = f._memo.get("R")
@@ -61,11 +70,15 @@ def holo_sectional_curvature(f: HoloMap, p, V) -> float:
         R = kahler_tensor(md)
         R.setflags(write=False)
         f._memo["R"] = R
-    phi = metric_eval(f, p, V)
-    num = np.einsum("ijkl,i,j,k,l->", R, V, np.conj(V), V, np.conj(V))
-    if abs(num.imag) > REAL_RESIDUE_TOL * max(1.0, abs(num.real)):
-        raise ArithmeticError(f"sectional numerator not real: {num}")
-    return float(2.0 * num.real / (phi * phi))
+    phi = _phi(f, p, V, m)
+    phi2 = phi * phi
+    cV = np.conj(V)
+    num = complex(np.einsum("ijkl,i,j,k,l->", R, V, cV, V, cV))
+    if abs(num.imag) > REAL_RESIDUE_TOL * max(abs(num.real), phi2):
+        raise LeafIllConditioned(
+            f"sectional numerator {num} at {p} has an imaginary residue above "
+            f"{REAL_RESIDUE_TOL:.0e} x max(|its real part|, phi^2 = {phi2:.6e})")
+    return 2.0 * num.real / phi2
 
 
 hsc = holo_sectional_curvature
@@ -137,7 +150,9 @@ def sup_sectional_curvature(
         return holo_sectional_curvature(f, p, x[:n] + 1j * x[n:])
 
     xs = _sphere_samples(n, samples, seed)
-    ibest = int(np.argmax([k_of_real(x) for x in xs]))
+    # every row at once: the conversion is elementwise, so the same bits
+    ibest = int(np.argmax([holo_sectional_curvature(f, p, V)
+                           for V in xs[:, :n] + 1j * xs[:, n:]]))
     best, xbest = _golden_polish(k_of_real, xs[ibest])
     if return_direction:
         return best, xbest[:n] + 1j * xbest[n:]

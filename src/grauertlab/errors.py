@@ -47,7 +47,9 @@ class SingularField(GrauertError):
 
 
 class LeafIllConditioned(GrauertError):
-    """The rounding-error bound of a conformal curvature exceeds its tolerance."""
+    """The rounding-error bound of a conformal curvature exceeds its tolerance,
+    or the imaginary residue of a holomorphic sectional curvature's numerator
+    exceeds its own."""
 
 
 class DegenerateDirection(GrauertError):

@@ -41,6 +41,15 @@ _ROW_TERMS = 256
 
 
 def _as_point(p, n: int) -> tuple[complex, ...]:
+    """``p`` as a tuple of n Python complex numbers: a scalar is a point of C."""
+    if type(p) is tuple and len(p) == n:
+        # a point converted before, as k_plus passes it to every jet, is
+        # returned as it is; np.complex128 subclasses complex, so it fails here
+        for c in p:
+            if type(c) is not complex:
+                break
+        else:
+            return p
     if not isinstance(p, tuple) and np.isscalar(p):
         p = (p,)
     p = tuple(map(complex, p))
@@ -287,8 +296,9 @@ def _leibniz_plan(n: int, order: int) -> tuple:
 class Jet(NamedTuple):
     """Holomorphic partials d^alpha f(p) for |alpha| <= order.
 
-    A named tuple, because one is built per evaluation: it builds in about
-    half the time of a frozen dataclass.
+    A named tuple, because one is built per evaluation; :func:`eval_jet`
+    builds it by ``tuple.__new__``, past the named tuple's Python-level
+    constructor.
     """
 
     point: tuple[complex, ...]
@@ -300,7 +310,8 @@ class Jet(NamedTuple):
 
     @property
     def value(self) -> complex:
-        return self.coeffs[(0,) * self.n]
+        # the zero multi-index is the first key of every jet dict
+        return next(iter(self.coeffs.values()))
 
     def d(self, i: int) -> complex:
         return self.coeffs[_unit_indices(self.n)[i]]
@@ -420,6 +431,6 @@ def eval_jet(f: HoloMap, p, order: int) -> Jet:
         raise OrderUnsupported(f"jet order {order} unsupported (max 3)")
     z = _as_point(p, f.n)
     num = f.num._jet(order)(z)
-    if f.den is None:
-        return Jet(z, num)
-    return Jet(z, _quotient_jet_code(f.n, order)(z, num, f.den._jet(order)(z)))
+    if f.den is not None:
+        num = _quotient_jet_code(f.n, order)(z, num, f.den._jet(order)(z))
+    return tuple.__new__(Jet, (z, num))

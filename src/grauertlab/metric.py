@@ -23,12 +23,16 @@ A map keeps one record, ``HoloMap._memo``: the last point
   builds it.
 
 Every array is held read-only, and a hit returns the very objects the miss
-built.  A new record replaces the old one whole.  :func:`metric_eval`,
-:func:`metric_matrix` and :func:`metric_det` read the gradient and gamma
-from the record at its point and store nothing themselves.  Each function
-still evaluates its jet first, so a point that raises keeps raising, and an
-error stores nothing.  The record assumes one thread per map, as the
-library is single-threaded.
+built.  A point is at the record when it is the very tuple the record was
+built from (``md.z``; :func:`grauertlab.curvature.k_plus` passes one
+converted tuple to every call) or has the key's bits.  A new record
+replaces the old one whole.  :func:`metric_eval`, :func:`metric_matrix` and
+:func:`metric_det` read the gradient and gamma from the record at its point
+and store nothing themselves; :func:`grauertlab.curvature.hsc` takes phi
+through :func:`_phi`, which is :func:`metric_eval` past its direction
+check.  Each function still evaluates its jet first, so a point that raises
+keeps raising, and an error stores nothing.  The record assumes one thread
+per map, as the library is single-threaded.
 """
 
 from __future__ import annotations
@@ -62,6 +66,12 @@ def _point_key(point: tuple[complex, ...]) -> bytes:
     return np.array(point, dtype=complex).tobytes()
 
 
+def _at(rec: dict, point: tuple[complex, ...]) -> bool:
+    """Whether the map's record ``rec`` is at ``point``: the very tuple it was
+    built from, as every call of a k_plus passes, or one with its exact bits."""
+    return bool(rec) and (rec["md"].z is point or rec["key"] == _point_key(point))
+
+
 def _as_direction(V, n: int) -> tuple[np.ndarray, float]:
     """V as a flat complex array of n entries and m = max |V_i| (inf above the
     largest double); NonFiniteInput when an entry is NaN or infinite."""
@@ -83,7 +93,7 @@ def _gradient_and_gamma(f: HoloMap, z) -> tuple[np.ndarray, float]:
     map's record when it was built at this point."""
     jet = eval_jet(f, z, 1)
     rec = f._memo
-    if rec and rec["key"] == _point_key(jet.point):
+    if _at(rec, jet.point):
         return rec["a"], rec["g"]
     _, (g,) = _finite_gamma(jet.value, 0, jet.point)
     return jet.gradient(), g
@@ -91,7 +101,12 @@ def _gradient_and_gamma(f: HoloMap, z) -> tuple[np.ndarray, float]:
 
 def metric_eval(f: HoloMap, z, V) -> float:
     """phi(z, V) = gamma(|f|^2) |df(z)(V)|^2 + |V|^2; DomainOverflow where not finite."""
-    V, m = _as_direction(V, f.n)
+    return _phi(f, z, *_as_direction(V, f.n))
+
+
+def _phi(f: HoloMap, z, V: np.ndarray, m: float) -> float:
+    """:func:`metric_eval` at a direction ``V`` that :func:`_as_direction` has
+    checked; ``m`` is its max |V_i|, or any value on the same side of 2^512."""
     a, g = _gradient_and_gamma(f, z)
     phi = math.inf if m >= 2.0**512 else (  # |V|^2 overflows: no numpy product
         float(g) * _pow(float(abs(np.dot(a, V))), 2) + float(np.vdot(V, V).real))
@@ -146,9 +161,8 @@ def metric_matrix_jet(f: HoloMap, z) -> MetricDerivatives:
     """
     n = f.n
     jet = eval_jet(f, z, 2)
-    key = _point_key(jet.point)
     rec = f._memo
-    if rec and rec["key"] == key:
+    if _at(rec, jet.point):
         return rec["md"]
     fz = jet.value
     t, (g, gp, gpp) = _finite_gamma(fz, 2, jet.point)
@@ -161,20 +175,23 @@ def metric_matrix_jet(f: HoloMap, z) -> MetricDerivatives:
                            f"at {jet.point}")
     H = jet.hessian()
 
-    # numpy's complex array loop rounds a product the same way at every length,
-    # stride and broadcast, but a numpy-scalar or Python complex product can
-    # round differently from the same product inside an array.  So the array
-    # products are batched over k, l, while the scalar coefficients stay scalar
-    # chains; every value is the same bits as the loop forms (tests/oracles.py).
-    # H[k] is the column H[:, k] (H[i, j] and H[j, i] read one partial).
+    # numpy's complex array loop rounds a product the same way at every length
+    # and under broadcasting, but a scalar product, or one that reads a strided
+    # view, can round differently.  So the array products are batched over
+    # k, l on fresh arrays and their broadcasts, while the scalar coefficients
+    # stay scalar chains, on Python floats and complex numbers, which round as
+    # numpy scalars do without numpy's per-operation dispatch; every value is
+    # the same bits as the loop forms (tests/oracles.py).  H[k] is the column
+    # H[:, k] (H[i, j] and H[j, i] read one partial).
     ca, cH, cfz = np.conj(a), np.conj(H), fz.conjugate()
     aa = a[:, None] * ca[None, :]
     G = g * aa + _identity(n)
 
-    s = np.array([gp * a[k] * cfz for k in range(n)])  # d_k gamma = gp a_k conj(f)
-    w = gpp * t + gp
-    waa = np.array([[w * a[k] * ca[l] for l in range(n)] for k in range(n)])
-    gpfz_ca = np.array([gp * fz * ca[l] for l in range(n)])
+    al, cal, gp = a.tolist(), ca.tolist(), float(gp)
+    s = np.array([gp * ak * cfz for ak in al])  # d_k gamma = gp a_k conj(f)
+    w = float(gpp) * t + gp
+    waa = np.array([[w * ak * cl for cl in cal] for ak in al])
+    gpfz_ca = np.array([gp * fz * cl for cl in cal])
     Hca = H[:, :, None] * ca[None, None, :]  # Hca[k][i, j] = H[i, k] conj(a_j)
 
     dG = s[:, None, None] * aa[None] + g * Hca
@@ -188,7 +205,7 @@ def metric_matrix_jet(f: HoloMap, z) -> MetricDerivatives:
         block.setflags(write=False)
     md = MetricDerivatives(jet.point, G, dG, ddG, Ginv)
     rec.clear()
-    rec.update(key=key, a=a, g=g, md=md)
+    rec.update(key=_point_key(jet.point), a=a, g=g, md=md)
     return md
 
 

@@ -22,9 +22,10 @@ curvature at a critical point, independent of the conformal formula, and
 loop forms of the metric blocks and the curvature tensor, with ``np.outer``
 and every product written out inside the loops, and :func:`loop_hsc` is the
 sectional curvature on them: the shipped forms batch the blocks over k, l
-and must match them bit for bit.  :func:`errstate_u_jet`,
-:func:`numpy_gamma_jet`, :func:`numpy_pullback_density_jet`,
-:func:`outer_metric_matrix` and :func:`norm_sup_metric_gap` are the numpy
+and must match them bit for bit.  :func:`loop_k_plus` is the sampled
+supremum on :func:`loop_hsc`, each Sobol row converted on its own.
+:func:`errstate_u_jet`, :func:`numpy_gamma_jet`,
+:func:`numpy_pullback_density_jet`, :func:`outer_metric_matrix` and :func:`norm_sup_metric_gap` are the numpy
 forms of the profile jet, the gamma jet, the pullback density jet, the
 metric matrix and the sup metric gap (one fresh f_0 side per
 call, no memo), which the shipped forms, free of per-call numpy overhead,
@@ -42,7 +43,7 @@ from typing import Callable
 import mpmath as mp
 import numpy as np
 
-from grauertlab.curvature import REAL_RESIDUE_TOL
+from grauertlab.curvature import REAL_RESIDUE_TOL, _golden_polish, _sphere_samples
 from grauertlab.density import (
     SERIES_RADIUS,
     T_MAX,
@@ -59,6 +60,7 @@ from grauertlab.errors import (
     DenominatorVanishes,
     DomainOverflow,
     GrauertError,
+    LeafIllConditioned,
     NonFiniteInput,
     SolveFailure,
 )
@@ -299,9 +301,31 @@ def loop_hsc(f: HoloMap, p, V: np.ndarray) -> float:
     complex direction ``V``, on the loop forms."""
     R = loop_kahler_tensor(loop_metric_matrix_jet(f, p))
     num = np.einsum("ijkl,i,j,k,l->", R, V, np.conj(V), V, np.conj(V))
-    if abs(num.imag) > REAL_RESIDUE_TOL * max(1.0, abs(num.real)):
-        raise ArithmeticError(f"sectional numerator not real: {num}")
-    return float(2.0 * num.real / metric_eval(f, p, V) ** 2)
+    # phi * phi, as hsc squares: phi ** 2 is libm's pow, which need not round
+    # to the nearest double
+    phi = metric_eval(f, p, V)
+    phi2 = phi * phi
+    if abs(num.imag) > REAL_RESIDUE_TOL * max(abs(num.real), phi2):
+        num = complex(num)
+        raise LeafIllConditioned(
+            f"sectional numerator {num} at {p} has an imaginary residue above "
+            f"{REAL_RESIDUE_TOL:.0e} x max(|its real part|, phi^2 = {phi2:.6e})")
+    return float(2.0 * num.real / phi2)
+
+
+def loop_k_plus(f: HoloMap, p, samples: int, seed: int) -> tuple[float, np.ndarray]:
+    """:func:`grauertlab.curvature.k_plus` with ``return_direction=True``, on
+    :func:`loop_hsc`, converting each Sobol row to a direction by itself."""
+    p = _as_point(p, f.n)
+    n = f.n
+
+    def k_of_real(x: np.ndarray) -> float:
+        return loop_hsc(f, p, x[:n] + 1j * x[n:])
+
+    xs = _sphere_samples(n, samples, seed)
+    ibest = int(np.argmax([k_of_real(x) for x in xs]))
+    best, xbest = _golden_polish(k_of_real, xs[ibest])
+    return best, xbest[:n] + 1j * xbest[n:]
 
 
 def _errstate_u_coeffs(order: int = 10) -> np.ndarray:

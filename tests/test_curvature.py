@@ -2,6 +2,7 @@
 sectional curvature, its sampled supremum, and the one-variable curvature."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,11 +26,12 @@ from grauertlab.errors import (
 )
 from grauertlab.foliation import VectorField, integrate_leaf, leaf_curvature, leaf_density_jet
 from grauertlab.holomorphic import HoloMap, Polynomial, eval_jet
-from grauertlab.metric import metric_eval, metric_matrix_jet
+from grauertlab.metric import metric_matrix_jet
 from oracles import (
     MEMO_CASES,
     critical_point_curvature,
     loop_hsc,
+    loop_k_plus,
     loop_kahler_tensor,
     loop_metric_matrix_jet,
     mp_leaf_curvature,
@@ -372,6 +374,37 @@ def test_complex_array_products_round_alike_when_batched():
             assert (x[k] * Y).tobytes() == xY[k].tobytes(), f"broadcast over k = {k}"
 
 
+def _scalar_draw(rng) -> float:
+    """A seeded double: a third of the draws are signed zeros, subnormals,
+    infinities or the largest magnitudes, the rest span every exponent."""
+    special = (0.0, -0.0, 5e-324, -5e-324, 2.2e-308, math.inf, -math.inf, 1.7e308, -1.7e308)
+    if rng.random() < 1 / 3:
+        return special[rng.integers(len(special))]
+    return float(rng.normal() * 10.0 ** rng.integers(-320, 309))
+
+
+def test_python_scalar_products_round_as_numpy_scalars():
+    # metric_matrix_jet builds its scalar chains (gp a_k conj(f), w a_k
+    # conj(a_l), gp f conj(a_l)) on Python floats and complex numbers, where
+    # the loop forms use numpy scalars.  That keeps every bit only while the
+    # interpreter's float x complex and complex x complex round as numpy's
+    # float64 x complex128 and complex128 x complex128 do; CPython 3.14
+    # changed mixed float/complex arithmetic (gh-69639), so on an interpreter
+    # where they differ, this names the cause of a mismatch in
+    # test_blocks_bit_identical_to_loop_forms
+    def bits(c):
+        return np.array([c], dtype=complex).tobytes()
+
+    rng = np.random.default_rng(25)
+    with np.errstate(all="ignore"):
+        for _ in range(20000):
+            x = _scalar_draw(rng)
+            z = complex(_scalar_draw(rng), _scalar_draw(rng))
+            w = complex(_scalar_draw(rng), _scalar_draw(rng))
+            assert bits(x * z) == bits(np.float64(x) * np.complex128(z)), (x, z)
+            assert bits(z * w) == bits(np.complex128(z) * np.complex128(w)), (z, w)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_kahler_tensor_is_c_contiguous(n):
     # hsc's einsum rounds by memory layout, which tobytes() cannot see: R must
@@ -379,6 +412,49 @@ def test_kahler_tensor_is_c_contiguous(n):
     f = HoloMap.poly(n, {(1,) * n: 1, (0,) * n: -1, (2,) + (0,) * (n - 1): 0.5})
     p = tuple(0.7 + 0.2j * i for i in range(n))
     assert kahler_tensor(metric_matrix_jet(f, p)).flags.c_contiguous
+
+
+def _workload_maps(monkeypatch) -> dict:
+    """The direction-sweep maps of the benchmark, read from bench/workloads.py."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    import workloads
+
+    return {key: HoloMap.from_json(desc) for key, desc in workloads.MAPS.items()}
+
+
+@pytest.mark.parametrize("samples", [64, 256])
+@pytest.mark.parametrize("key", ["poly2", "quot2", "poly3"])
+def test_k_plus_bit_identical_to_loop_k_plus(monkeypatch, key, samples):
+    # k_plus converts its Sobol rows in one array expression and reuses the
+    # map's record; loop_k_plus converts each row and rebuilds every block.
+    # Every direction either one evaluates, and its value, must be the same
+    # bits, not only the supremum and the direction it returns
+    import grauertlab.curvature as curvature
+    import oracles
+
+    def recording(hsc_fn, seen):
+        def wrapped(f, p, V):
+            K = hsc_fn(f, p, V)
+            seen.append((np.asarray(V).tobytes(), float.hex(K)))
+            return K
+        return wrapped
+
+    f = _workload_maps(monkeypatch)[key]
+    rng = np.random.default_rng(samples)
+    for seed in (3, 17, 2024):
+        while True:
+            p = tuple(complex(*rng.uniform(-1.2, 1.2, size=2)) for _ in range(f.n))
+            if abs(f(p)) >= 0.25:  # the workload's margin from the divisor
+                break
+        got_seen, want_seen = [], []
+        with monkeypatch.context() as m:
+            m.setattr(curvature, "holo_sectional_curvature", recording(hsc, got_seen))
+            m.setattr(oracles, "loop_hsc", recording(loop_hsc, want_seen))
+            got, got_V = k_plus(f, p, samples=samples, seed=seed, return_direction=True)
+            want, want_V = loop_k_plus(f, p, samples, seed)
+        assert len(got_seen) > samples and got_seen == want_seen
+        assert float.hex(got) == float.hex(want)
+        assert got_V.tobytes() == want_V.tobytes()
 
 
 # -- hsc's reuse of the memoized record and tensor --------------------------------
@@ -408,20 +484,33 @@ def test_hsc_reuses_the_tensor_of_the_same_record(monkeypatch):
 
 @pytest.mark.parametrize("e", [0, 300, -300])
 def test_hsc_evaluates_phi_once(monkeypatch, e):
-    # at any scale of V: a direction outside the band is scaled first
+    # at any scale of V: a direction outside the band is scaled first.  hsc
+    # takes phi from metric._phi, metric_eval without the direction check
     import grauertlab.curvature as curvature
+    from grauertlab.metric import _phi
 
     calls = []
 
-    def counting(f, z, V):
+    def counting(f, z, V, m):
         calls.append(V)
-        return metric_eval(f, z, V)
+        return _phi(f, z, V, m)
 
     f, p, _, V = MEMO_CASES["poly2"]
     want = hsc(HoloMap(f.num, f.den), p, V)
-    monkeypatch.setattr(curvature, "metric_eval", counting)
+    monkeypatch.setattr(curvature, "_phi", counting)
     assert float.hex(hsc(HoloMap(f.num, f.den), p, np.array(V) * 2.0**e)) == float.hex(want)
     assert len(calls) == 1
+
+
+def test_hsc_rejects_an_imaginary_residue_at_every_scale():
+    # next to the divisor of z1 z2 - 1 the numerator's imaginary residue is
+    # rounding noise above 1e-8 of its real part, and both scale as |V|^4:
+    # an absolute floor used to return -3.9658 (the truth is -4.0000000283)
+    # for small V and raise a raw ArithmeticError for the rest
+    f, p = HoloMap.poly(2, {(1, 1): 1, (0, 0): -1}), (1 + 1e-7, 1)
+    for e in (-205, -200, -120, -23, -22, 0, 100, 180, 181):
+        with pytest.raises(LeafIllConditioned, match="imaginary residue"):
+            hsc(f, p, np.array([1, 0.5j]) * 2.0**e)
 
 
 def test_hsc_checks_the_direction_before_building_the_record():

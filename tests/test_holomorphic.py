@@ -412,3 +412,38 @@ def test_long_rows_match_loop_forms():
     z = (0.31 - 0.4j, -0.52 + 0.17j)
     for order in range(4):
         assert _outcome(eval_jet, f, z, order) == _outcome(loop_jet, f, z, order)
+
+
+def _point_bits(z) -> bytes:
+    return np.array(z, dtype=complex).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_eval_jet_takes_every_point_kind(n):
+    # a tuple of exact complex numbers is taken as it is; every other kind
+    # (np.complex128 subclasses complex) is converted entry by entry
+    f = HoloMap(Polynomial(n, {(1,) * n: 1.5, (0,) * n: -0.5j}),
+                Polynomial(n, {(0,) * (n - 1) + (1,): 0.25, (0,) * n: 3}))
+    exact = tuple(complex(0.25 * (i + 1), -0.0 if i else 0.5) for i in range(n))
+    kinds = {
+        "tuple of complex": exact,
+        "tuple with a float": (0.25,) + exact[1:],
+        "tuple with an int": (1,) + exact[1:],
+        "tuple of np.complex128": tuple(map(np.complex128, exact)),
+        "list": list(exact),
+        "array": np.array(exact),
+    }
+    if n == 1:
+        kinds.update({"complex scalar": exact[0], "float scalar": 0.25,
+                      "np.complex128 scalar": np.complex128(exact[0])})
+    for kind, p in kinds.items():
+        want = (complex(p),) if np.isscalar(p) else tuple(map(complex, p))
+        for order in (0, 2):
+            jet = eval_jet(f, p, order)
+            assert all(type(c) is complex for c in jet.point), kind
+            assert _point_bits(jet.point) == _point_bits(want), kind
+            assert jet.coeffs == loop_jet(f, want, order), kind
+    assert eval_jet(f, exact, 1).point is exact
+    for p in (exact + (1j,), list(exact + (1j,)), tuple(map(np.complex128, exact + (1j,)))):
+        with pytest.raises(ValueError, match=f"^point has {n + 1} coordinates, map expects {n}$"):
+            eval_jet(f, p, 1)
