@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import re
 import sys
@@ -118,7 +119,7 @@ def _point_values(p) -> list[float]:
 # -- subcommands -------------------------------------------------------------
 
 def _cmd_u_table(a) -> int:
-    if a.points < 2 or not 0 < a.t_min < a.t_max:
+    if a.points < 2 or not 0 < a.t_min < a.t_max < math.inf:
         raise ValueError("need points >= 2 and 0 < t-min < t-max")
     rows = [u_jet(float(t)) for t in np.geomspace(a.t_min, a.t_max, a.points)]
     emit_grid(rows, ["t", "u", "up", "upp"], a.out)
@@ -126,7 +127,7 @@ def _cmd_u_table(a) -> int:
 
 
 def _cmd_kg_grid(a) -> int:
-    if not 0 < a.rmin < a.rmax or a.angles < 1 or a.radii < 1:
+    if not 0 < a.rmin < a.rmax < math.inf or a.angles < 1 or a.radii < 1:
         raise ValueError("need 0 < rmin < rmax, angles >= 1, radii >= 1")
     turns = [np.exp(2j * np.pi * q / a.angles) for q in range(a.angles)]
     zs = (r * w for r in np.geomspace(a.rmin, a.rmax, a.radii) for w in turns)

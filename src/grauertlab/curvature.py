@@ -48,12 +48,13 @@ def holo_sectional_curvature(f: HoloMap, p, V) -> float:
     point at every scale of V.  Normalized so the n = 1 value is the
     Gaussian curvature of the conformal density.
 
-    Every call evaluates two jets of f at p, the 2-jet behind the metric
-    blocks and the 1-jet behind phi.  Repeated calls at one point, as in
-    :func:`sup_sectional_curvature`, reuse the map's record of the point:
-    its metric blocks and curvature tensor are read, not rebuilt, so such a
-    call computes the two jets, the point's key, phi and the contraction
-    of the tensor with V.
+    Every call converts p once and evaluates two jets of f at that tuple,
+    the 2-jet behind the metric blocks and the 1-jet behind phi, which
+    reads the gradient and gamma from the map's record of it.  Repeated
+    calls with one converted tuple, as in :func:`sup_sectional_curvature`,
+    also read the metric blocks and curvature tensor from the record, so
+    such a call computes the two jets, phi and the contraction of the
+    tensor with V.
     """
     V, m = _as_direction(V, f.n)
     if m == 0:
@@ -63,6 +64,7 @@ def holo_sectional_curvature(f: HoloMap, p, V) -> float:
         k = 1 - (math.frexp(m)[1] if m < math.inf else 1025)
         V = V * math.ldexp(1.0, k // 2) * math.ldexp(1.0, k - k // 2)
         m = 1.0  # max |V_i| now lies in [1, 2)
+    p = _as_point(p, f.n)
     md = metric_matrix_jet(f, p)
     # metric_matrix_jet leaves the map's record at p, so a tensor it holds is md's
     R = f._memo.get("R")

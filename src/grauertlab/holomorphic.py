@@ -43,8 +43,10 @@ _ROW_TERMS = 256
 def _as_point(p, n: int) -> tuple[complex, ...]:
     """``p`` as a tuple of n Python complex numbers: a scalar is a point of C."""
     if type(p) is tuple and len(p) == n:
-        # a point converted before, as k_plus passes it to every jet, is
-        # returned as it is; np.complex128 subclasses complex, so it fails here
+        # a point converted before, as hsc passes it to both its jets and
+        # k_plus to every call, is returned as it is, so the map's record
+        # finds it by identity; np.complex128 subclasses complex, so it
+        # fails here
         for c in p:
             if type(c) is not complex:
                 break
@@ -69,10 +71,12 @@ def _json_object(obj, keys: set, what: str) -> dict:
 
 def _json_int(v) -> int:
     """``v`` as an int, if ``int`` leaves it unchanged; ``ValueError`` otherwise."""
-    i = int(v)
-    if i != v:
-        raise ValueError(f"{v!r} is not an integer")
-    return i
+    try:
+        if (i := int(v)) == v:
+            return i
+    except OverflowError:  # an infinite v: JSON Infinity, or 1e400
+        pass
+    raise ValueError(f"{v!r} is not an integer")
 
 
 @dataclass(frozen=True)

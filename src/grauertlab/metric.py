@@ -15,24 +15,25 @@ path from the jet of f to gamma(|f|^2) goes through.
 A map keeps one record, ``HoloMap._memo``: the last point
 :func:`metric_matrix_jet` built, as a dict with
 
-- ``"key"``: the exact IEEE bits of the point, so -0.0 and 0.0 are
-  different points and a NaN coordinate matches its own bits;
 - ``"a"`` and ``"g"``: the gradient of f and gamma(|f|^2);
 - ``"md"``: the :class:`MetricDerivatives`;
 - ``"R"``: the curvature tensor, once :func:`grauertlab.curvature.hsc`
   builds it.
 
 Every array is held read-only, and a hit returns the very objects the miss
-built.  A point is at the record when it is the very tuple the record was
-built from (``md.z``; :func:`grauertlab.curvature.k_plus` passes one
-converted tuple to every call) or has the key's bits.  A new record
-replaces the old one whole.  :func:`metric_eval`, :func:`metric_matrix` and
-:func:`metric_det` read the gradient and gamma from the record at its point
-and store nothing themselves; :func:`grauertlab.curvature.hsc` takes phi
-through :func:`_phi`, which is :func:`metric_eval` past its direction
-check.  Each function still evaluates its jet first, so a point that raises
-keeps raising, and an error stores nothing.  The record assumes one thread
-per map, as the library is single-threaded.
+built.  A point is at the record only when it is the very tuple the record
+was built from, ``md.z``: :func:`grauertlab.curvature.hsc` passes one
+converted tuple to both of its jets, and
+:func:`grauertlab.curvature.k_plus` one to every call.  Any other tuple,
+even one with the same bits, is a miss that builds the same bits anew.  A
+new record replaces the old one whole.  :func:`metric_eval`,
+:func:`metric_matrix` and :func:`metric_det` read the gradient and gamma
+from the record at its point and store nothing themselves;
+:func:`grauertlab.curvature.hsc` takes phi through :func:`_phi`, which is
+:func:`metric_eval` past its direction check.  Each function still
+evaluates its jet first, so a point that raises keeps raising, and an
+error stores nothing.  The record assumes one thread per map, as the
+library is single-threaded.
 """
 
 from __future__ import annotations
@@ -60,18 +61,6 @@ def _identity(n: int) -> np.ndarray:
     return eye
 
 
-def _point_key(point: tuple[complex, ...]) -> bytes:
-    """The exact IEEE bits of ``point``, the memo key: unlike complex ==,
-    it tells -0.0 from 0.0 and matches a NaN coordinate to its own bits."""
-    return np.array(point, dtype=complex).tobytes()
-
-
-def _at(rec: dict, point: tuple[complex, ...]) -> bool:
-    """Whether the map's record ``rec`` is at ``point``: the very tuple it was
-    built from, as every call of a k_plus passes, or one with its exact bits."""
-    return bool(rec) and (rec["md"].z is point or rec["key"] == _point_key(point))
-
-
 def _as_direction(V, n: int) -> tuple[np.ndarray, float]:
     """V as a flat complex array of n entries and m = max |V_i| (inf above the
     largest double); NonFiniteInput when an entry is NaN or infinite."""
@@ -93,7 +82,7 @@ def _gradient_and_gamma(f: HoloMap, z) -> tuple[np.ndarray, float]:
     map's record when it was built at this point."""
     jet = eval_jet(f, z, 1)
     rec = f._memo
-    if _at(rec, jet.point):
+    if rec and rec["md"].z is jet.point:
         return rec["a"], rec["g"]
     _, (g,) = _finite_gamma(jet.value, 0, jet.point)
     return jet.gradient(), g
@@ -162,7 +151,7 @@ def metric_matrix_jet(f: HoloMap, z) -> MetricDerivatives:
     n = f.n
     jet = eval_jet(f, z, 2)
     rec = f._memo
-    if _at(rec, jet.point):
+    if rec and rec["md"].z is jet.point:
         return rec["md"]
     fz = jet.value
     t, (g, gp, gpp) = _finite_gamma(fz, 2, jet.point)
@@ -205,7 +194,7 @@ def metric_matrix_jet(f: HoloMap, z) -> MetricDerivatives:
         block.setflags(write=False)
     md = MetricDerivatives(jet.point, G, dG, ddG, Ginv)
     rec.clear()
-    rec.update(key=_point_key(jet.point), a=a, g=g, md=md)
+    rec.update(a=a, g=g, md=md)
     return md
 
 

@@ -397,6 +397,11 @@ SCHEMA_DEFECTS = {
     # read as 1 and as 3
     "exponent 1.7": ("f1.json", _edit_term(0, "exp", "exp", [1.7])),
     "resolution 3.9": ("grid1.json", lambda obj: {**obj, "resolution": 3.9}),
+    # JSON Infinity (or 1e400): int() raised a raw OverflowError
+    "n inf": ("f1.json", lambda obj: {**obj, "n": math.inf}),
+    "exponent inf": ("f1.json", _edit_term(0, "exp", "exp", [math.inf])),
+    "resolution inf": ("grid1.json", lambda obj: {**obj, "resolution": math.inf}),
+    "J inf": ("fam1.json", lambda obj: {**obj, "J": [1, math.inf]}),
 }
 
 
@@ -415,6 +420,19 @@ def test_descriptor_schema_defect_exit_2_no_output(workdir, capsys, defect):
     out = workdir / "never.out"
     assert main(argv + ["--out", str(out)]) == 2
     assert "descriptor" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, wording", [
+    (["u-table", "--t-min", "1", "--t-max", "inf", "--points", "3"], "0 < t-min < t-max"),
+    (["kg-grid", "--rmin", "1", "--rmax", "inf", "--angles", "1", "--radii", "3"],
+     "0 < rmin < rmax"),
+], ids=["u-table", "kg-grid"])
+def test_infinite_upper_bound_exit_2_no_output(workdir, capsys, argv, wording):
+    # refused before np.geomspace warns on the infinite bound
+    out = workdir / "never.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert wording in capsys.readouterr().err
     assert not out.exists()
 
 

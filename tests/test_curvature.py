@@ -502,6 +502,21 @@ def test_hsc_evaluates_phi_once(monkeypatch, e):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("kind", [list, np.array, tuple])
+def test_hsc_converts_its_point_once(monkeypatch, kind):
+    # both jets of hsc see one converted tuple, so phi's 1-jet finds the
+    # record the 2-jet built by identity: one gamma_jet call on a fresh map
+    import grauertlab.density as density
+
+    f, p, _, V = MEMO_CASES["quot2"]
+    want = hsc(HoloMap(f.num, f.den), p, V)
+    calls = []
+    real = density.gamma_jet
+    monkeypatch.setattr(density, "gamma_jet", lambda t: calls.append(t) or real(t))
+    assert float.hex(hsc(HoloMap(f.num, f.den), kind(p), V)) == float.hex(want)
+    assert len(calls) == 1
+
+
 def test_hsc_rejects_an_imaginary_residue_at_every_scale():
     # next to the divisor of z1 z2 - 1 the numerator's imaginary residue is
     # rounding noise above 1e-8 of its real part, and both scale as |V|^4:

@@ -357,19 +357,34 @@ def test_memo_hits_keep_the_fresh_bits(case, call):
 
 
 def test_memo_tells_signed_zeros_apart():
-    # -0.0 == 0.0 as complex numbers, but the key is the point's exact bits
+    # -0.0 == 0.0 as complex numbers, but each tuple gets its own record,
+    # which keeps the sign of its point
     f = _fresh(MEMO_CASES["poly2"][0])
     plus, minus = (2.0 + 0.5j, complex(0.0, 1.0)), (2.0 + 0.5j, complex(-0.0, 1.0))
     assert plus == minus
     md_plus = metric_matrix_jet(f, plus)
-    key_plus, a_plus = f._memo["key"], f._memo["a"]
+    a_plus = f._memo["a"]
     md_minus = metric_matrix_jet(f, minus)
     assert md_minus is not md_plus
-    assert f._memo["key"] != key_plus and f._memo["a"] is not a_plus
-    assert f._memo["md"] is md_minus
+    assert f._memo["a"] is not a_plus
+    assert f._memo["md"] is md_minus and md_minus.z is minus
     assert np.copysign(1.0, md_minus.z[1].real) == -1.0
     assert np.copysign(1.0, md_plus.z[1].real) == 1.0
     assert metric_matrix_jet(f, minus) is md_minus
+
+
+@pytest.mark.parametrize("case", list(MEMO_CASES))
+def test_memo_misses_a_new_tuple_with_the_records_bits(case):
+    # the record is found by its point object alone: an equal copy of the
+    # tuple builds a new record, with the same bits
+    f, p, _, _ = MEMO_CASES[case]
+    f = _fresh(f)
+    md = metric_matrix_jet(f, p)
+    q = tuple(list(p))
+    assert q == p and q is not p
+    again = metric_matrix_jet(f, q)
+    assert again is not md and again.z is q and f._memo["md"] is again
+    assert _bits(again) == _bits(md)
 
 
 @pytest.mark.parametrize("call", list(_MEMO_CALLS))
