@@ -102,10 +102,12 @@ def _sphere_samples(n: int, samples: int, seed: int) -> np.ndarray:
 
 def _golden_polish(f, x0: np.ndarray):
     """Coordinate-wise golden-section maximization around ``x0``: 32 steps
-    per coordinate in a window of half-width 0.25."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    per coordinate in a window of half-width 0.25.  Returns the best value
+    and the point it was evaluated at."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x = x0.copy()
     best = f(x)
+    xbest = x
     for c in range(x.size):
         a, b = x[c] - 0.25, x[c] + 0.25
 
@@ -119,20 +121,28 @@ def _golden_polish(f, x0: np.ndarray):
         u2 = lo + invphi * (hi - lo)
         f1, y1 = g(u1)
         f2, y2 = g(u2)
+        # v1, v2 are the points f1, f2 were evaluated at; y1, y2 are the
+        # last evaluations on each side, which a swap leaves in place
+        v1, v2 = y1, y2
         for _ in range(32):
             if f1 < f2:
-                lo, u1, f1 = u1, u2, f2
+                lo, u1, f1, v1 = u1, u2, f2, v2
                 u2 = lo + invphi * (hi - lo)
                 f2, y2 = g(u2)
+                v2 = y2
             else:
-                hi, u2, f2 = u2, u1, f1
+                hi, u2, f2, v2 = u2, u1, f1, v1
                 u1 = hi - invphi * (hi - lo)
                 f1, y1 = g(u1)
-        cand, ycand = (f1, y1) if f1 >= f2 else (f2, y2)
+                v1 = y1
+        cand, ycand, vcand = (f1, y1, v1) if f1 >= f2 else (f2, y2, v2)
         if cand > best:
-            best = cand
+            best, xbest = cand, vcand
+            # the next coordinates search around ycand, not vcand: the
+            # sampled values, thm11's pinned report among them, follow
+            # this search path
             x = ycand
-    return best, x
+    return best, xbest
 
 
 def sup_sectional_curvature(

@@ -47,15 +47,11 @@ _H3_OVERFLOWS = "K = -2 (h ddbar - |d|^2) / h^3 overflows at {}; " + _LOG_DOMAIN
 def _u_taylor_coeffs(order: int) -> tuple[float, ...]:
     # u(1+s) = 1 / (1 + sum_{k>=1} c_k s^k) with c_k = (-1)^{k+1}/(k(k+1)),
     # from (1+s)log(1+s)/s; invert the power series by recurrence.
-    c = np.zeros(order + 1)
-    c[0] = 1.0
-    for k in range(1, order + 1):
-        c[k] = (-1.0) ** (k + 1) / (k * (k + 1))
-    a = np.zeros(order + 1)
-    a[0] = 1.0
+    c = [1.0] + [(-1.0) ** (k + 1) / (k * (k + 1)) for k in range(1, order + 1)]
+    a = [1.0]
     for m in range(1, order + 1):
-        a[m] = -sum(c[k] * a[m - k] for k in range(1, m + 1))
-    return tuple(a.tolist())
+        a.append(-sum(c[k] * a[m - k] for k in range(1, m + 1)))
+    return tuple(a)
 
 
 _U_COEFFS = _u_taylor_coeffs(_SERIES_ORDER)
@@ -128,20 +124,13 @@ def _abs(c: complex) -> float:
 
 
 def gamma_jet(t: float) -> tuple[float, float, float]:
-    """gamma(t) = 1 + t u^2(t) with first and second derivatives.
-
-    Python float arithmetic, returned as numpy scalars.  A product of numpy
-    scalars rounds as the same product of Python floats or complex numbers
-    does; only products inside numpy arrays may round differently, so
-    :func:`pullback_density_jet` takes these as Python floats, and the
-    metric blocks, which batch them into arrays, take them as they are.
-    """
+    """gamma(t) = 1 + t u^2(t) with first and second derivatives, as Python floats."""
     t, u, up, upp = u_jet(t)
     u2 = _pow(u, 2)
     g = 1.0 + t * u2
     gp = u2 + 2.0 * t * u * up
     gpp = 4.0 * u * up + 2.0 * t * (_pow(up, 2) + u * upp)
-    return np.float64(g), np.float64(gp), np.float64(gpp)
+    return g, gp, gpp
 
 
 def _finite_gamma(fz: complex, order: int, point) -> tuple[float, tuple]:
@@ -206,11 +195,10 @@ def pullback_density_jet(z: complex, g0: complex, g1: complex, g2: complex,
     Where :func:`_finite_gamma` puts g0 on the divisor, OnDivisor names ``z``;
     where h^3 >= |g'|^6 overflows, DomainOverflow does, before d and ddbar.
     """
-    t, gj = _finite_gamma(g0, 2, z)
-    # one conversion to Python scalars, which round as numpy scalars do
-    # without numpy's per-operation dispatch; the chi dots stay in numpy,
-    # where for n >= 2 the BLAS sum order is part of the bits
-    g, gp, gpp = map(float, gj)
+    t, (g, gp, gpp) = _finite_gamma(g0, 2, z)
+    # the leaf path passes numpy scalars: as Python complex they round as
+    # numpy scalars do without numpy's per-operation dispatch; the chi dots
+    # stay in numpy, where for n >= 2 the BLAS sum order is part of the bits
     g0, g1, g2 = complex(g0), complex(g1), complex(g2)
     s = _pow(_abs(g1), 2)
     h = g * s + float(np.vdot(chi0, chi0).real)
@@ -251,7 +239,7 @@ def hk_density_jet(k: int, z: complex) -> DensityJet:
         h = k2 * (s ** (k - 1)) * (1.0 + t * u2)
         d = (
             k2
-            * np.conj(z)
+            * z.conjugate()
             * (
                 (k - 1) * s ** (k - 2)
                 + (2 * k - 1) * s ** (2 * k - 2) * u2
@@ -266,7 +254,7 @@ def hk_density_jet(k: int, z: complex) -> DensityJet:
         )
     except OverflowError:
         raise DomainOverflow(f"the density jet of h_{k} overflows at {z}; {_LOG_DOMAIN}") from None
-    return DensityJet(z, float(h), complex(d), complex(np.conj(d)), float(ddbar))
+    return DensityJet(z, h, d, d.conjugate(), ddbar)
 
 
 def m_factor(t: float) -> float:

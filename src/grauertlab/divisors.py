@@ -19,7 +19,7 @@ from .curvature import holo_sectional_curvature
 from .density import DIVISOR_TOL
 from .errors import GridTouchesDivisor, UnitVanishes
 from .foliation import VectorField, leaf_curvature
-from .holomorphic import HoloMap, Polynomial, _json_int, _json_object
+from .holomorphic import HoloMap, Polynomial, _json_float, _json_int, _json_object
 from .metric import metric_matrix
 
 #: slack allowed in the liminf inequality K_{f0} <= min over the tail of K_{fj}
@@ -127,9 +127,9 @@ class CompactGrid:
     def from_json(obj) -> "CompactGrid":
         _json_object(obj, {"box", "resolution", "delta"}, "grid")
         return CompactGrid(
-            tuple(tuple(float(v) for v in b) for b in obj["box"]),
+            tuple(tuple(_json_float(v) for v in b) for b in obj["box"]),
             _json_int(obj["resolution"]),
-            float(obj["delta"]),
+            _json_float(obj["delta"]),
         )
 
 

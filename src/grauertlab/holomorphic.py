@@ -70,13 +70,26 @@ def _json_object(obj, keys: set, what: str) -> dict:
 
 
 def _json_int(v) -> int:
-    """``v`` as an int, if ``int`` leaves it unchanged; ``ValueError`` otherwise."""
-    try:
-        if (i := int(v)) == v:
-            return i
-    except OverflowError:  # an infinite v: JSON Infinity, or 1e400
-        pass
+    """``v`` as an int, if it is not a boolean and ``int`` leaves it
+    unchanged; ``ValueError`` otherwise."""
+    if not isinstance(v, bool):
+        try:
+            if (i := int(v)) == v:
+                return i
+        except OverflowError:  # an infinite v: JSON Infinity, or 1e400
+            pass
     raise ValueError(f"{v!r} is not an integer")
+
+
+def _json_float(v) -> float:
+    """``v`` as a float, if it is a JSON number: an int or a float, not a
+    boolean or a string; ``ValueError`` otherwise."""
+    if isinstance(v, (int, float)) and not isinstance(v, bool):
+        try:
+            return float(v)
+        except OverflowError:  # an integer literal beyond the largest double
+            pass
+    raise ValueError(f"{v!r} is not a number")
 
 
 @dataclass(frozen=True)
@@ -191,7 +204,7 @@ class Polynomial:
         coefficient read from ("re" + suffix, "im" + suffix), absent parts 0."""
         _json_object(t, {"exp"} | {k + s for s in parts for k in ("re", "im")}, "term")
         exp = tuple(_json_int(e) for e in t["exp"])
-        return exp, [complex(float(t.get("re" + s, 0.0)), float(t.get("im" + s, 0.0)))
+        return exp, [complex(_json_float(t.get("re" + s, 0.0)), _json_float(t.get("im" + s, 0.0)))
                      for s in parts]
 
     @staticmethod

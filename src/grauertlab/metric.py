@@ -98,16 +98,16 @@ def _phi(f: HoloMap, z, V: np.ndarray, m: float) -> float:
     checked; ``m`` is its max |V_i|, or any value on the same side of 2^512."""
     a, g = _gradient_and_gamma(f, z)
     phi = math.inf if m >= 2.0**512 else (  # |V|^2 overflows: no numpy product
-        float(g) * _pow(float(abs(np.dot(a, V))), 2) + float(np.vdot(V, V).real))
+        g * _pow(float(abs(np.dot(a, V))), 2) + float(np.vdot(V, V).real))
     if not math.isfinite(phi):
         raise DomainOverflow(f"phi(z, V) = gamma |df(z)(V)|^2 + |V|^2 overflows at {z}")
     return phi
 
 
-def _det(a: np.ndarray, g, z) -> float:
+def _det(a: np.ndarray, g: float, z) -> float:
     """det G = 1 + gamma |a|^2 for the gradient a of f at z (matrix determinant
     lemma); DomainOverflow where it is not finite."""
-    det = 1.0 + float(g) * float(np.vdot(a, a).real)
+    det = 1.0 + g * float(np.vdot(a, a).real)
     if not math.isfinite(det):
         raise DomainOverflow(f"det G = 1 + gamma |grad f|^2 overflows at {z}")
     return det
@@ -158,7 +158,7 @@ def metric_matrix_jet(f: HoloMap, z) -> MetricDerivatives:
     a = jet.gradient()
     # before any block is formed, so no product overflows; NaN fails too
     na2 = float(np.vdot(a, a).real)
-    cond = 1.0 + float(g) * na2
+    cond = 1.0 + g * na2
     if not cond <= COND_LIMIT:
         raise SolveFailure(f"metric conditioning {cond:.3e} exceeds {COND_LIMIT:.0e} "
                            f"at {jet.point}")
@@ -176,9 +176,9 @@ def metric_matrix_jet(f: HoloMap, z) -> MetricDerivatives:
     aa = a[:, None] * ca[None, :]
     G = g * aa + _identity(n)
 
-    al, cal, gp = a.tolist(), ca.tolist(), float(gp)
+    al, cal = a.tolist(), ca.tolist()
     s = np.array([gp * ak * cfz for ak in al])  # d_k gamma = gp a_k conj(f)
-    w = float(gpp) * t + gp
+    w = gpp * t + gp
     waa = np.array([[w * ak * cl for cl in cal] for ak in al])
     gpfz_ca = np.array([gp * fz * cl for cl in cal])
     Hca = H[:, :, None] * ca[None, None, :]  # Hca[k][i, j] = H[i, k] conj(a_j)

@@ -25,11 +25,12 @@ sectional curvature on them: the shipped forms batch the blocks over k, l
 and must match them bit for bit.  :func:`loop_k_plus` is the sampled
 supremum on :func:`loop_hsc`, each Sobol row converted on its own.
 :func:`errstate_u_jet`, :func:`numpy_gamma_jet`,
-:func:`numpy_pullback_density_jet`, :func:`outer_metric_matrix` and :func:`norm_sup_metric_gap` are the numpy
+:func:`numpy_pullback_density_jet`, :func:`numpy_hk_density_jet`,
+:func:`outer_metric_matrix` and :func:`norm_sup_metric_gap` are the numpy
 forms of the profile jet, the gamma jet, the pullback density jet, the
-metric matrix and the sup metric gap (one fresh f_0 side per
-call, no memo), which the shipped forms, free of per-call numpy overhead,
-must also match bit for bit.
+power-pullback density jet, the metric matrix and the sup metric gap (one
+fresh f_0 side per call, no memo), which the shipped forms, free of
+per-call numpy overhead, must also match bit for bit.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from grauertlab.density import (
     UJet,
     _finite_gamma,
     _H3_OVERFLOWS,
+    _LOG_DOMAIN,
     _pow,
     u_jet,
 )
@@ -385,7 +387,8 @@ def numpy_pullback_density_jet(z, g0, g1, g2, chi0, chi1) -> DensityJet:
     """:func:`grauertlab.density.pullback_density_jet` with g1, g2 and the
     gamma jet as numpy scalars, so each scalar product is a numpy-scalar
     product, and numpy's overflow and invalid-value warnings silenced."""
-    t, (g, gp, gpp) = _finite_gamma(g0, 2, z)
+    t, gj = _finite_gamma(g0, 2, z)
+    g, gp, gpp = map(np.float64, gj)
     g1, g2 = np.complex128(g1), np.complex128(g2)
     with np.errstate(over="ignore", invalid="ignore"):
         s = _pow(float(abs(g1)), 2)
@@ -403,6 +406,43 @@ def numpy_pullback_density_jet(z, g0, g1, g2, chi0, chi1) -> DensityJet:
         )
     d = complex(d)
     return DensityJet(z, float(h), d, d.conjugate(), float(ddbar))
+
+
+def numpy_hk_density_jet(k: int, z: complex) -> DensityJet:
+    """:func:`grauertlab.density.hk_density_jet` with ``d`` formed from
+    ``np.conj(z)``, a numpy scalar, so its products are numpy-scalar products,
+    and numpy's overflow and invalid-value warnings silenced."""
+    if k < 1:
+        raise ValueError("k must be a positive integer")
+    z = complex(z)
+    if z == 0:
+        raise ValueError("density undefined at z = 0")
+    try:
+        s = abs(z) ** 2
+        t = s**k
+        _, u, up, upp = u_jet(t)
+        u2 = _pow(u, 2)
+        k2 = float(k * k)
+        h = k2 * (s ** (k - 1)) * (1.0 + t * u2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = (
+                k2
+                * np.conj(z)
+                * (
+                    (k - 1) * s ** (k - 2)
+                    + (2 * k - 1) * s ** (2 * k - 2) * u2
+                    + 2 * k * s ** (3 * k - 2) * u * up
+                )
+            )
+        ddbar = k2 * (
+            (k - 1) ** 2 * s ** (k - 2)
+            + (2 * k - 1) ** 2 * s ** (2 * k - 2) * u2
+            + 2 * k * (5 * k - 2) * s ** (3 * k - 2) * u * up
+            + 2 * k2 * s ** (4 * k - 2) * (_pow(up, 2) + u * upp)
+        )
+    except OverflowError:
+        raise DomainOverflow(f"the density jet of h_{k} overflows at {z}; {_LOG_DOMAIN}") from None
+    return DensityJet(z, float(h), complex(d), complex(np.conj(d)), float(ddbar))
 
 
 def profile_sweep(strata: int = 4000, seed: int = 0) -> list[float]:

@@ -386,28 +386,47 @@ def _edit_term(i, old, new, value=None):
     return edit
 
 
-#: the descriptor a defect is written into, and the edit that makes it
+#: the descriptor a defect is written into, the edit that makes it, and the
+#: wording of the error, which must name the defect
 SCHEMA_DEFECTS = {
-    "map is a number": ("f1.json", lambda obj: 3),
-    "map is null": ("f1.json", lambda obj: None),
+    "map is a number": ("f1.json", lambda obj: 3, "must be a JSON object"),
+    "map is null": ("f1.json", lambda obj: None, "must be a JSON object"),
     # dropped: hsc would read z, not z - 1
-    "map term key": ("f1.json", _edit_term(1, "re", "Re")),
+    "map term key": ("f1.json", _edit_term(1, "re", "Re"), "unknown keys"),
     # dropped: every gap would read 0
-    "template term key": ("fam1.json", _edit_term(1, "re_j", "rej")),
+    "template term key": ("fam1.json", _edit_term(1, "re_j", "rej"), "unknown keys"),
     # read as 1 and as 3
-    "exponent 1.7": ("f1.json", _edit_term(0, "exp", "exp", [1.7])),
-    "resolution 3.9": ("grid1.json", lambda obj: {**obj, "resolution": 3.9}),
+    "exponent 1.7": ("f1.json", _edit_term(0, "exp", "exp", [1.7]), "is not an integer"),
+    "resolution 3.9": ("grid1.json", lambda obj: {**obj, "resolution": 3.9},
+                       "is not an integer"),
     # JSON Infinity (or 1e400): int() raised a raw OverflowError
-    "n inf": ("f1.json", lambda obj: {**obj, "n": math.inf}),
-    "exponent inf": ("f1.json", _edit_term(0, "exp", "exp", [math.inf])),
-    "resolution inf": ("grid1.json", lambda obj: {**obj, "resolution": math.inf}),
-    "J inf": ("fam1.json", lambda obj: {**obj, "J": [1, math.inf]}),
+    "n inf": ("f1.json", lambda obj: {**obj, "n": math.inf}, "is not an integer"),
+    "exponent inf": ("f1.json", _edit_term(0, "exp", "exp", [math.inf]), "is not an integer"),
+    "resolution inf": ("grid1.json", lambda obj: {**obj, "resolution": math.inf},
+                       "is not an integer"),
+    "J inf": ("fam1.json", lambda obj: {**obj, "J": [1, math.inf]}, "is not an integer"),
+    # booleans and strings in number fields, which int() and float() read as
+    # numbers (true as 1); resolution true was rejected only for lying below 2
+    "n true": ("f1.json", lambda obj: {**obj, "n": True}, "is not an integer"),
+    "exponent true": ("f1.json", _edit_term(1, "exp", "exp", [True]), "is not an integer"),
+    "re true": ("f1.json", _edit_term(1, "re", "re", True), "is not a number"),
+    "re string": ("f1.json", _edit_term(1, "re", "re", "1.0"), "is not a number"),
+    "im true": ("f1.json", _edit_term(1, "im", "im", True), "is not a number"),
+    "re_j string": ("fam1.json", _edit_term(1, "re_j", "re_j", "-1"), "is not a number"),
+    "resolution true": ("grid1.json", lambda obj: {**obj, "resolution": True},
+                        "is not an integer"),
+    "delta true": ("grid1.json", lambda obj: {**obj, "delta": True}, "is not a number"),
+    # an integer literal beyond the largest double: float() raised OverflowError
+    "delta 10^400": ("grid1.json", lambda obj: {**obj, "delta": 10**400}, "is not a number"),
+    "box string": ("grid1.json", lambda obj: {**obj, "box": [[str(v) for v in obj["box"][0]]]},
+                   "is not a number"),
+    "J true": ("fam1.json", lambda obj: {**obj, "J": [True, 8, 64]}, "is not an integer"),
 }
 
 
 @pytest.mark.parametrize("defect", sorted(SCHEMA_DEFECTS))
 def test_descriptor_schema_defect_exit_2_no_output(workdir, capsys, defect):
-    name, edit = SCHEMA_DEFECTS[defect]
+    name, edit, wording = SCHEMA_DEFECTS[defect]
     bad = workdir / "bad.json"
     _dump(edit(_load(workdir / name)), bad)
     if name == "f1.json":
@@ -419,7 +438,8 @@ def test_descriptor_schema_defect_exit_2_no_output(workdir, capsys, defect):
                 "--grid", str(files["grid1.json"])]
     out = workdir / "never.out"
     assert main(argv + ["--out", str(out)]) == 2
-    assert "descriptor" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "descriptor" in err and wording in err
     assert not out.exists()
 
 

@@ -457,6 +457,21 @@ def test_k_plus_bit_identical_to_loop_k_plus(monkeypatch, key, samples):
         assert got_V.tobytes() == want_V.tobytes()
 
 
+@pytest.mark.parametrize("key", ["poly2", "quot2", "poly3"])
+def test_k_plus_direction_attains_its_value(monkeypatch, key):
+    # the returned direction is the one the returned value was evaluated at,
+    # so hsc there gives k_plus back bit for bit
+    f = _workload_maps(monkeypatch)[key]
+    rng = np.random.default_rng(7)
+    for seed in range(4):
+        while True:
+            p = tuple(complex(*rng.uniform(-1.2, 1.2, size=2)) for _ in range(f.n))
+            if abs(f(p)) >= 0.25:  # the workload's margin from the divisor
+                break
+        K, V = k_plus(f, p, samples=64, seed=seed, return_direction=True)
+        assert float.hex(hsc(f, p, V)) == float.hex(K), (p, seed)
+
+
 # -- hsc's reuse of the memoized record and tensor --------------------------------
 
 

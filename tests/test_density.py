@@ -31,6 +31,7 @@ from grauertlab.errors import (
 from oracles import (
     errstate_u_jet,
     numpy_gamma_jet,
+    numpy_hk_density_jet,
     numpy_pullback_density_jet,
     profile_sweep,
     raw_conformal,
@@ -125,13 +126,12 @@ def _gamma_sweep() -> list[float]:
 
 
 def test_gamma_jet_bit_identical_to_numpy_form():
-    # gamma_jet computes on Python floats; every value, non-finite ones
-    # included, must keep the bits and the np.float64 type of the
-    # numpy-scalar form
+    # gamma_jet computes on Python floats and returns them; every value,
+    # non-finite ones included, must keep the bits of the numpy-scalar form
     for t in _gamma_sweep():
         for x, y in zip(gamma_jet(t), numpy_gamma_jet(t)):
-            assert type(x) is np.float64 and type(y) is np.float64, t
-            assert x.tobytes() == y.tobytes(), t
+            assert type(x) is float and type(y) is np.float64, t
+            assert np.float64(x).tobytes() == y.tobytes(), t
 
 
 def test_gamma_jet_raises_no_warning():
@@ -231,6 +231,29 @@ def test_pullback_density_jet_bit_identical_to_numpy_form():
             assert got == want, (g0, g1, g2, chi0, chi1)
         outcomes.add(want[0] if isinstance(want, tuple) else "value")
     assert outcomes == {"value", "OnDivisor", "DomainOverflow"}
+
+
+def test_hk_density_jet_bit_identical_to_numpy_form():
+    # d is formed from z.conjugate(), a Python complex, where the numpy form
+    # takes np.conj(z): every field must keep its bits, or the error its type
+    # and message, over the profile-scan band |z|^k in [1e-140, 1e140], on
+    # both axes (signed zero parts) and off them
+    rng = np.random.default_rng(29)
+    outcomes = set()
+    for k in range(1, 6):
+        for x in np.linspace(-140.0, 140.0, 1201).tolist():
+            r = 10.0 ** (x / k)
+            ray = complex(np.exp(2j * np.pi * rng.random()))
+            for z in (r, -r, complex(0.0, r), complex(-0.0, -r), r * ray):
+                want = _density_outcome(numpy_hk_density_jet, k, z)
+                assert _density_outcome(hk_density_jet, k, z) == want, (k, z)
+                if isinstance(want, tuple):
+                    outcomes.add(want[0])
+                    continue
+                outcomes.add("value")
+                types = [type(v) for v in hk_density_jet(k, z)[1:]]
+                assert types == [float, complex, complex, float], (k, z)
+    assert outcomes == {"value", "DomainOverflow", "DomainUnderflow"}
 
 
 def test_h2_at_unit_modulus():
