@@ -154,12 +154,12 @@ def _finite_gamma(fz: complex, order: int, point) -> tuple[float, tuple]:
 
 
 class DensityJet(NamedTuple):
-    """Wirtinger jet of a positive conformal density at ``z``, a point of C or C^n."""
+    """Wirtinger jet of a positive conformal density at ``z``, a point of C or C^n;
+    the density is real, so dbar h = conj(d)."""
 
     z: complex | tuple
     h: float
     d: complex
-    dbar: complex
     ddbar: float
 
 
@@ -172,7 +172,7 @@ def gaussian_conformal(j: DensityJet) -> float:
     """
     if not j.h > 0:
         raise NonPositiveDensity(f"density {j.h} at {j.z} is not positive")
-    num = j.h * j.ddbar - (j.d * j.dbar).real
+    num = j.h * j.ddbar - (j.d * j.d.conjugate()).real
     h3 = _pow(j.h, 3)
     K = float(-2.0 * num / h3)
     if math.isinf(h3) or not math.isfinite(K):
@@ -216,7 +216,7 @@ def pullback_density_jet(z: complex, g0: complex, g1: complex, g2: complex,
         + g * _pow(_abs(g2), 2)
         + float(np.vdot(chi1, chi1).real)
     )
-    return DensityJet(z, h, d, d.conjugate(), ddbar)
+    return DensityJet(z, h, d, ddbar)
 
 
 def hk_density_jet(k: int, z: complex) -> DensityJet:
@@ -254,7 +254,7 @@ def hk_density_jet(k: int, z: complex) -> DensityJet:
         )
     except OverflowError:
         raise DomainOverflow(f"the density jet of h_{k} overflows at {z}; {_LOG_DOMAIN}") from None
-    return DensityJet(z, h, d, d.conjugate(), ddbar)
+    return DensityJet(z, h, d, ddbar)
 
 
 def m_factor(t: float) -> float:

@@ -91,7 +91,7 @@ class CompactGrid:
     """Finite grid on a box in C^n, minus a margin around the limit divisor.
 
     ``box`` holds per-axis (re_min, re_max, im_min, im_max); points with
-    |f_0| < delta are dropped.
+    |f_0| < delta are dropped.  Bounds and delta are finite.
     """
 
     box: tuple[tuple[float, float, float, float], ...]
@@ -99,8 +99,13 @@ class CompactGrid:
     delta: float
 
     def __post_init__(self):
-        if self.delta < 1e-6:
-            raise ValueError("exclusion margin delta must be >= 1e-6")
+        for b in self.box:
+            if not all(map(math.isfinite, b)):
+                raise ValueError(f"grid box bounds must be finite, not {b}")
+        # written so that NaN fails it
+        if not 1e-6 <= self.delta < math.inf:
+            raise ValueError(f"exclusion margin delta must be finite and >= 1e-6, "
+                             f"not {self.delta}")
         if self.resolution < 2:
             raise ValueError("resolution must be >= 2")
 
@@ -115,13 +120,6 @@ class CompactGrid:
         if not pts:
             raise ValueError("grid is empty after divisor exclusion")
         return pts
-
-    def to_json(self) -> dict:
-        return {
-            "box": [list(b) for b in self.box],
-            "resolution": self.resolution,
-            "delta": self.delta,
-        }
 
     @staticmethod
     def from_json(obj) -> "CompactGrid":
@@ -209,6 +207,5 @@ def liminf_check(fam: DivisorFamily, p, V, tail: int) -> dict:
         "K0": K0,
         "Kj_min": Kj_min,
         "margin": Kj_min - K0,
-        "tail": tail,
         "passed": K0 <= Kj_min + LIMINF_TOL,
     }

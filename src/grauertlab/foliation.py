@@ -54,9 +54,6 @@ class VectorField:
         n = V.size
         return VectorField(tuple(HoloMap.constant(n, v) for v in V))
 
-    def to_json(self) -> dict:
-        return {"components": [c.to_json() for c in self.components]}
-
     @staticmethod
     def from_json(obj) -> "VectorField":
         _json_object(obj, {"components"}, "vector field")
@@ -69,10 +66,6 @@ class LeafChart:
 
     base: tuple[complex, ...]
     coeffs: np.ndarray  # row j is c_j, so coeffs[0] = base; shape (3, n)
-
-    @property
-    def n(self) -> int:
-        return len(self.base)
 
 
 def integrate_leaf(X: VectorField, p) -> LeafChart:
@@ -156,10 +149,12 @@ def divisor_approach(f: HoloMap, p, path) -> list[dict]:
 
 def geometric_path(base, direction, start: float = 1.0, ratio: float = 0.1,
                    steps: int = 9) -> list[tuple[complex, ...]]:
-    """Points base + start * ratio^m * direction, m = 1..steps.
+    """Points base + start * ratio^m * direction, m = 1..steps, steps >= 1.
 
     DomainOverflow where a point overflows, ratio^m included.
     """
+    if steps < 1:
+        raise ValueError(f"need steps >= 1, not {steps}")
     base = np.asarray(base, dtype=complex)
     direction = np.asarray(direction, dtype=complex)
     path = []

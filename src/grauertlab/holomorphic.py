@@ -187,16 +187,7 @@ class Polynomial:
     def scaled(self, c: complex) -> "Polynomial":
         return Polynomial(self.n, {e: v * c for e, v in self.terms.items()})
 
-    # -- serialization ------------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "terms": [
-                {"exp": list(e), "re": c.real, "im": c.imag}
-                for e, c in sorted(self.terms.items())
-            ],
-        }
+    # -- descriptors --------------------------------------------------------
 
     @staticmethod
     def term_from_json(t, parts=("",)) -> tuple[tuple[int, ...], list[complex]]:
@@ -252,11 +243,6 @@ class HoloMap:
 
     def __call__(self, p) -> complex:
         return eval_jet(self, p, 0).value
-
-    def to_json(self) -> dict:
-        if self.den is None:
-            return self.num.to_json()
-        return {"num": self.num.to_json(), "den": self.den.to_json()}
 
     @staticmethod
     def from_json(obj) -> "HoloMap":

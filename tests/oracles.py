@@ -405,7 +405,7 @@ def numpy_pullback_density_jet(z, g0, g1, g2, chi0, chi1) -> DensityJet:
             + float(np.vdot(chi1, chi1).real)
         )
     d = complex(d)
-    return DensityJet(z, float(h), d, d.conjugate(), float(ddbar))
+    return DensityJet(z, float(h), d, float(ddbar))
 
 
 def numpy_hk_density_jet(k: int, z: complex) -> DensityJet:
@@ -442,7 +442,7 @@ def numpy_hk_density_jet(k: int, z: complex) -> DensityJet:
         )
     except OverflowError:
         raise DomainOverflow(f"the density jet of h_{k} overflows at {z}; {_LOG_DOMAIN}") from None
-    return DensityJet(z, float(h), complex(d), complex(np.conj(d)), float(ddbar))
+    return DensityJet(z, float(h), complex(d), float(ddbar))
 
 
 def profile_sweep(strata: int = 4000, seed: int = 0) -> list[float]:
@@ -527,7 +527,7 @@ def critical_point_curvature(f: HoloMap, p) -> float:
 
 def raw_conformal(j: DensityJet) -> float:
     """K = -2 (h ddbar - |d|^2) / h^3 with no rounding bound or overflow check."""
-    return float(-2.0 * (j.h * j.ddbar - (j.d * j.dbar).real) / j.h**3)
+    return float(-2.0 * (j.h * j.ddbar - (j.d * j.d.conjugate()).real) / j.h**3)
 
 
 class NonFiniteSample(GrauertError):
@@ -674,7 +674,7 @@ def chart_radius(chart: LeafChart) -> float:
 
 def chart_value(chart: LeafChart, T: complex) -> np.ndarray:
     """Z(T) of a leaf chart, from its Taylor coefficients."""
-    z = np.zeros(chart.n, dtype=complex)
+    z = np.zeros(len(chart.base), dtype=complex)
     for c in chart.coeffs[::-1]:
         z = z * T + c
     return z
@@ -682,7 +682,7 @@ def chart_value(chart: LeafChart, T: complex) -> np.ndarray:
 
 def chart_derivative(chart: LeafChart, T: complex) -> np.ndarray:
     """Z'(T) of a leaf chart, from its Taylor coefficients."""
-    z = np.zeros(chart.n, dtype=complex)
+    z = np.zeros(len(chart.base), dtype=complex)
     for j in range(chart.coeffs.shape[0] - 1, 0, -1):
         z = z * T + j * chart.coeffs[j]
     return z
@@ -729,4 +729,4 @@ def stencil_leaf_curvature(f: HoloMap, X: VectorField, p) -> float:
     # second-order stencils: Richardson-combine for fourth-order accuracy
     d = (4.0 * j2.d - j1.d) / 3.0
     ddbar = (4.0 * j2.ddbar - j1.ddbar) / 3.0
-    return raw_conformal(DensityJet(0j, j2.value, d, np.conj(d), ddbar))
+    return raw_conformal(DensityJet(0j, j2.value, d, ddbar))

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import grauertlab
 from grauertlab.cli import FLOAT_FMT, emit_grid, main
 from grauertlab.curvature import hsc
-from grauertlab.divisors import CompactGrid, DivisorFamily, curvature_gap, sup_metric_gap
+from grauertlab.divisors import DivisorFamily, curvature_gap, sup_metric_gap
 from grauertlab.foliation import VectorField
 from grauertlab.holomorphic import HoloMap
 from grauertlab.verify import SUITES, grid_1d
@@ -40,10 +40,14 @@ def _load(path: Path):
 
 @pytest.fixture
 def workdir(tmp_path):
-    _dump(HoloMap.poly(2, {(1, 1): 1, (0, 0): -1}).to_json(), tmp_path / "f2.json")
-    _dump(HoloMap.poly(1, {(1,): 1, (0,): -1}).to_json(), tmp_path / "f1.json")
-    _dump(VectorField.constant([1.0]).to_json(), tmp_path / "X1.json")
-    _dump(grid_1d().to_json(), tmp_path / "grid1.json")
+    # z1 z2 - 1, z - 1, the constant field 1 and verify.grid_1d()
+    _dump({"n": 2, "terms": [{"exp": [0, 0], "re": -1.0, "im": 0.0},
+                             {"exp": [1, 1], "re": 1.0, "im": 0.0}]}, tmp_path / "f2.json")
+    _dump({"n": 1, "terms": [{"exp": [0], "re": -1.0, "im": 0.0},
+                             {"exp": [1], "re": 1.0, "im": 0.0}]}, tmp_path / "f1.json")
+    _dump({"components": [{"n": 1, "terms": [{"exp": [0], "re": 1.0}]}]}, tmp_path / "X1.json")
+    _dump({"box": [[-0.97, 3.03, -2.0, 2.0]], "resolution": 21, "delta": 0.4},
+          tmp_path / "grid1.json")
     _dump(
         {
             "f0": {"n": 1, "terms": [{"exp": [1], "re": 1}, {"exp": [0], "re": -1}]},
@@ -196,7 +200,8 @@ def test_gradient_overflow_is_solve_failure_under_warning_error(workdir):
     # |grad f|^2 overflows at a point off the divisor: the conditioning test
     # runs before the a a* block, whose product raised "overflow encountered
     # in multiply" under -W error
-    _dump(HoloMap.poly(2, {(1, 0): 1e160, (0, 1): -1e160}).to_json(), workdir / "fbig.json")
+    _dump({"n": 2, "terms": [{"exp": [0, 1], "re": -1e160}, {"exp": [1, 0], "re": 1e160}]},
+          workdir / "fbig.json")
     r = _main_under_warning_error(["hsc", "--f", str(workdir / "fbig.json"),
                                    "--p", "0", "1e-30", "--V", "1", "0"])
     assert r.returncode == 2, r.stderr
@@ -218,7 +223,8 @@ def test_metric_eval_huge_direction_exit_2_no_output(workdir, capsys, z, V):
 
 def test_metric_eval_det_overflow_exit_2_no_output(workdir, capsys):
     # 1 + gamma |grad f|^2 overflows: "detG": Infinity was written with exit 0
-    _dump(HoloMap.poly(2, {(1, 0): 1e160, (0, 1): -1e160}).to_json(), workdir / "fbig.json")
+    _dump({"n": 2, "terms": [{"exp": [0, 1], "re": -1e160}, {"exp": [1, 0], "re": 1e160}]},
+          workdir / "fbig.json")
     out = workdir / "m.json"
     assert main(["metric-eval", "--f", str(workdir / "fbig.json"), "--z", "0", "1e-30",
                  "--V", "0", "0", "--out", str(out)]) == 2
@@ -229,7 +235,7 @@ def test_metric_eval_det_overflow_exit_2_no_output(workdir, capsys):
 def test_metric_eval_finite_g_up_to_det_limit_under_warning_error(workdir):
     # det G is 1.2e308; G was written as [[Infinity]] with exit 0, after an
     # "overflow encountered in add" from its symmetrization
-    _dump(HoloMap.poly(1, {(1,): 7.75e153}).to_json(), workdir / "fb.json")
+    _dump({"n": 1, "terms": [{"exp": [1], "re": 7.75e153}]}, workdir / "fb.json")
     out = workdir / "m.json"
     r = _main_under_warning_error(["metric-eval", "--f", str(workdir / "fb.json"), "--z",
                                    repr(1 / 7.75e153), "--V", "1", "--out", str(out)])
@@ -305,7 +311,7 @@ def test_converge_metric_gradient_overflow_exit_2_no_output(workdir, capsys,
            "fj": {"template": {"terms": [{"exp": [1], "re": 1e160},
                                          {"exp": [0], "re_j": 1e130}]}},
            "J": [1]}, workdir / "fbig.json")
-    _dump(CompactGrid(((1e-23, 3e-23, -1e-23, 1e-23),), 3, 1e-6).to_json(),
+    _dump({"box": [[1e-23, 3e-23, -1e-23, 1e-23]], "resolution": 3, "delta": 1e-6},
           workdir / "gbig.json")
     out = workdir / "cm.csv"
     argv = ["converge-metric", "--family", str(workdir / "fbig.json"),
@@ -421,6 +427,16 @@ SCHEMA_DEFECTS = {
     "box string": ("grid1.json", lambda obj: {**obj, "box": [[str(v) for v in obj["box"][0]]]},
                    "is not a number"),
     "J true": ("fam1.json", lambda obj: {**obj, "J": [True, 8, 64]}, "is not an integer"),
+    # JSON Infinity and NaN in the grid: np.linspace warned on an infinite
+    # bound, and every other one emptied the grid ("grid is empty after
+    # divisor exclusion"), a message that named neither field nor descriptor
+    "box Infinity": ("grid1.json", lambda obj: {**obj, "box": [[-0.97, math.inf, -2.0, 2.0]]},
+                     "grid box bounds must be finite"),
+    "box NaN": ("grid1.json", lambda obj: {**obj, "box": [[-0.97, 3.03, math.nan, 2.0]]},
+                "grid box bounds must be finite"),
+    "delta Infinity": ("grid1.json", lambda obj: {**obj, "delta": math.inf},
+                       "delta must be finite"),
+    "delta NaN": ("grid1.json", lambda obj: {**obj, "delta": math.nan}, "delta must be finite"),
 }
 
 
@@ -466,7 +482,7 @@ def test_domain_error_exit_2(workdir, capsys):
 
 def test_metric_eval_gamma_overflow_exit_2_no_output(workdir, capsys):
     # gamma(|f|^2) overflows at z = 1e-80 on f = z: exit 2, no NaN written
-    _dump(HoloMap.poly(1, {(1,): 1}).to_json(), workdir / "fz.json")
+    _dump({"n": 1, "terms": [{"exp": [1], "re": 1}]}, workdir / "fz.json")
     out = workdir / "m.json"
     code = main(["metric-eval", "--f", str(workdir / "fz.json"), "--z", "1e-80",
                  "--V", "1", "--out", str(out)])
@@ -478,7 +494,8 @@ def test_metric_eval_gamma_overflow_exit_2_no_output(workdir, capsys):
 def test_hsc_gamma_overflow_exit_2_no_output(workdir, capsys):
     # gamma(|f|^2) overflows at p = (1e-100, 0) on f = z1 + z2: exit 2 with
     # OnDivisor, as metric-eval gives, not a conditioning failure
-    _dump(HoloMap.poly(2, {(1, 0): 1, (0, 1): 1}).to_json(), workdir / "fsum.json")
+    _dump({"n": 2, "terms": [{"exp": [0, 1], "re": 1}, {"exp": [1, 0], "re": 1}]},
+          workdir / "fsum.json")
     out = workdir / "k.json"
     code = main(["hsc", "--f", str(workdir / "fsum.json"), "--p", "1e-100", "0",
                  "--V", "1", "0", "--out", str(out)])
@@ -491,7 +508,7 @@ def test_hsc_gamma_overflow_exit_2_no_output(workdir, capsys):
 def test_leaf_curvature_gamma_overflow_exit_2_no_output(workdir, capsys, p):
     # f = z: gamma's 2-jet overflows; "K": -Infinity was written at 1e-40 and
     # a raw OverflowError escaped at 1e-60
-    _dump(HoloMap.poly(1, {(1,): 1}).to_json(), workdir / "fz.json")
+    _dump({"n": 1, "terms": [{"exp": [1], "re": 1}]}, workdir / "fz.json")
     out = workdir / "K.json"
     code = main(["leaf-curvature", "--f", str(workdir / "fz.json"),
                  "--X", str(workdir / "X1.json"), "--p", p, "--out", str(out)])
@@ -507,7 +524,7 @@ def test_leaf_curvature_gamma_overflow_exit_2_under_warning_error(workdir, p):
     # no outcome depends on the warning filter: under -W error the overflowing
     # gamma jet still gives OnDivisor and exit 2, not a RuntimeWarning
     # traceback and exit 1
-    _dump(HoloMap.poly(1, {(1,): 1}).to_json(), workdir / "fz.json")
+    _dump({"n": 1, "terms": [{"exp": [1], "re": 1}]}, workdir / "fz.json")
     out = workdir / "K.json"
     r = _main_under_warning_error(["leaf-curvature", "--f", str(workdir / "fz.json"),
                                    "--X", str(workdir / "X1.json"), "--p", p,
@@ -599,12 +616,22 @@ def test_import_leaves_scipy_unloaded():
 
 def test_leaf_approach_ratio_overflow_exit_2_no_output(workdir, capsys):
     # ratio^m overflows a Python float at m = 31: a raw OverflowError escaped
-    _dump(HoloMap.poly(1, {(1,): 1}).to_json(), workdir / "fz.json")
+    _dump({"n": 1, "terms": [{"exp": [1], "re": 1}]}, workdir / "fz.json")
     out = workdir / "ap.csv"
     assert main(["leaf-approach", "--f", str(workdir / "fz.json"), "--base", "0",
                  "--direction", "1", "--ratio", "1e10", "--steps", "40",
                  "--out", str(out)]) == 2
     assert "error: DomainOverflow: path point m = 31 overflows" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_leaf_approach_without_steps_exit_2_no_output(workdir, capsys, steps):
+    # a path of no points wrote a CSV of its header alone, with exit 0
+    out = workdir / "ap.csv"
+    assert main(["leaf-approach", "--f", str(workdir / "f1.json"), "--base", "1",
+                 "--direction", "1", "--steps", steps, "--out", str(out)]) == 2
+    assert f"error: need steps >= 1, not {steps}" in capsys.readouterr().err
     assert not out.exists()
 
 

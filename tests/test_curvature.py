@@ -42,18 +42,18 @@ from oracles import (
 def _jet_of(F, z):
     """DensityJet of a positive scalar field from the stencil oracle."""
     j = wirtinger_fd(F, 0j, 1e-5)
-    return DensityJet(z, j.value, j.d, j.dbar, j.ddbar)
+    return DensityJet(z, j.value, j.d, j.ddbar)
 
 
 def test_constant_density_flat():
-    assert gaussian_conformal(DensityJet(0j, 3.0, 0j, 0j, 0.0)) == 0.0
+    assert gaussian_conformal(DensityJet(0j, 3.0, 0j, 0.0)) == 0.0
 
 
 def test_modulus_squared_of_holomorphic_is_flat():
     # h = |1 + w|^2 has curvature 0 away from w = -1: exact jet
-    # (h, d, dbar, ddbar) = (|1+w|^2, conj(1+w), 1+w, 1), plus stencil check
+    # (h, d, ddbar) = (|1+w|^2, conj(1+w), 1), plus stencil check
     for w in (0.0, 0.3 + 0.2j, -0.5j):
-        j = DensityJet(w, abs(1 + w) ** 2, np.conj(1 + w), 1 + w, 1.0)
+        j = DensityJet(w, abs(1 + w) ** 2, np.conj(1 + w), 1.0)
         assert abs(gaussian_conformal(j)) < 1e-10
         fd = _jet_of(lambda T, w=w: abs(1 + w + T) ** 2, w)
         assert abs(gaussian_conformal(fd)) < 1e-5

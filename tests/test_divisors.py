@@ -2,6 +2,7 @@
 and the liminf inequality check."""
 
 import dataclasses
+import math
 import pickle
 import struct
 
@@ -65,6 +66,11 @@ def test_grid_touches_divisor():
 def test_grid_validation():
     with pytest.raises(ValueError):
         CompactGrid(((0.0, 1.0, 0.0, 1.0),), 4, 1e-9)  # delta too small
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="grid box bounds must be finite"):
+            CompactGrid(((0.0, 1.0, 0.0, 1.0), (0.0, bad, 0.0, 1.0)), 4, 0.5)
+        with pytest.raises(ValueError, match="delta must be finite"):
+            CompactGrid(((0.0, 1.0, 0.0, 1.0),), 4, bad)
     grid = CompactGrid(((-0.05, 0.05, -0.05, 0.05),), 3, 0.5)
     with pytest.raises(ValueError):
         grid.points(HoloMap.poly(1, {(1,): 1}))  # empty after exclusion
@@ -124,6 +130,7 @@ def test_liminf_trivial_equality():
     fam = constant_family()
     rep = liminf_check(fam, [3.0], [1.0], tail=1)
     assert rep["margin"] == 0.0 and rep["passed"]
+    assert list(rep) == ["K0", "Kj_min", "margin", "passed"]
 
 
 def test_liminf_canonical_points():

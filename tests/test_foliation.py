@@ -365,15 +365,16 @@ def test_divisor_approach_coordinate_plane():
     assert gaps[-1] < 0.3
 
 
-def test_field_json_round_trip():
-    X = VectorField(
-        (
-            HoloMap(Polynomial.constant(2, 1.0), Polynomial(2, {(0, 1): 1})),
-            HoloMap.constant(2, 0.0),
-        )
-    )
-    Y = VectorField.from_json(X.to_json())
-    assert np.allclose(Y((2.0, 4.0)), X((2.0, 4.0)))
+def test_field_descriptor_reads():
+    # (1 / z2, 0): a quotient component and a polynomial one
+    Y = VectorField.from_json({"components": [
+        {"num": {"n": 2, "terms": [{"exp": [0, 0], "re": 1.0}]},
+         "den": {"n": 2, "terms": [{"exp": [0, 1], "re": 1.0}]}},
+        {"n": 2, "terms": []},
+    ]})
+    assert Y == VectorField((HoloMap(Polynomial.constant(2, 1.0), Polynomial(2, {(0, 1): 1})),
+                             HoloMap.poly(2, {})))
+    assert Y((2.0, 4.0)).tolist() == [0.25, 0.0]
 
 
 @pytest.mark.parametrize("terms, z", [
