@@ -121,14 +121,9 @@ def transverse_field(f: HoloMap, p) -> VectorField:
     i = 0 if abs(grad[0]) > FIELD_TOL else int(np.argmax(np.abs(grad)))
     if abs(grad[i]) <= FIELD_TOL:
         raise DegenerateDirection(f"no partial of f exceeds {FIELD_TOL} at {jet.point}")
-    one = Polynomial.constant(f.n, 1.0)
-    if f.den is None:
-        di = f.num.partial(i)
-        comp = HoloMap(one, di)
-    else:
-        # (num/den)' = (num' den - num den') / den^2
-        di_num = f.num.partial(i) * f.den + f.num.scaled(-1.0) * f.den.partial(i)
-        comp = HoloMap(f.den * f.den, di_num)
+    # (num/den)' = (num' den - num den') / den^2, with den = 1 for a polynomial
+    den = Polynomial.constant(f.n, 1.0) if f.den is None else f.den
+    comp = HoloMap(den * den, f.num.partial(i) * den + f.num.scaled(-1.0) * den.partial(i))
     zero = HoloMap.constant(f.n, 0.0)
     return VectorField(tuple(comp if j == i else zero for j in range(f.n)))
 

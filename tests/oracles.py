@@ -15,6 +15,9 @@ inside a radius estimated from the chart's tail growth, so
 :func:`stencil_leaf_curvature` checks the closed-form 2-jet path of
 :func:`grauertlab.foliation.leaf_curvature` independently, and
 :func:`mp_leaf_curvature` checks its rounding against 50-digit arithmetic.
+:func:`mp_hsc` is the 60-digit sectional curvature by the Gauss equation,
+the reference for :func:`grauertlab.curvature.hsc` that shares none of its
+tensor path.
 :func:`critical_point_curvature` is the closed form of the one-variable
 curvature at a critical point, independent of the conformal formula, and
 :func:`raw_conformal` is that formula without its rounding guard.
@@ -514,6 +517,46 @@ def mp_leaf_curvature(f: HoloMap, X: VectorField, p, dps: int = 50):
                  + 2 * mp.re(gp * g1**2 * mp.conj(g0 * g2))
                  + g * abs(g2) ** 2 + sum(abs(c) ** 2 for c in chi1))
         return -2 * (h * ddbar - abs(d) ** 2) / h**3
+
+
+def _mp_grauert_x(x):
+    """G(x) = gamma(e^x) = 1 + expm1(x)^2 / (e^x x^2), with G(0) = 2."""
+    return mp.mpf(2) if x == 0 else 1 + mp.expm1(x) ** 2 / (mp.exp(x) * x**2)
+
+
+def mp_hsc(f: HoloMap, p, V, dps: int = 60):
+    """Holomorphic sectional curvature at ``dps`` digits by the Gauss
+    equation for the graph of f in (C*, Grauert) x (C^n, flat):
+
+        K = [K_g rho^2 |a.V|^4 - 2 rho |x|^2 / (1 + rho |a|^2)] / phi^2,
+        x = V^T H V + (gamma' conj(f) / gamma) (a.V)^2,
+        phi = rho |a.V|^2 + |V|^2,
+
+    with a, H the gradient and Hessian of f from :func:`mp_jet` and
+    rho = gamma(|f|^2).  gamma's derivatives are taken in x = log t, where
+    G(x) = gamma(e^x) has no singularity to difference across: t gamma' = G_x
+    and K_g = -2 (log G)_xx / (t G).  No tensor, inverse or double-precision
+    difference enters, so :func:`grauertlab.curvature.hsc` is checked
+    against it independently.
+    """
+    n = f.n
+    with mp.workdps(dps):
+        fj = mp_jet(f, p, 2)
+        V = [mp.mpc(v) for v in V]
+        units = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+        f0 = fj[(0,) * n]
+        a = [fj[e] for e in units]
+        aV = sum(ai * vi for ai, vi in zip(a, V))
+        VHV = sum(fj[tuple(x + y for x, y in zip(ei, ek))] * V[i] * V[k]
+                  for i, ei in enumerate(units) for k, ek in enumerate(units))
+        t = abs(f0) ** 2
+        rho, Gx, Gxx = mp.diffs(_mp_grauert_x, mp.log(t), 2)
+        K_g = -2 * (Gxx / rho - (Gx / rho) ** 2) / (t * rho)
+        # gamma' conj(f) / gamma = (G_x / t) conj(f) / rho = G_x / (f rho)
+        x = VHV + Gx / (f0 * rho) * aV**2
+        phi = rho * abs(aV) ** 2 + sum(abs(v) ** 2 for v in V)
+        a2 = sum(abs(ai) ** 2 for ai in a)
+        return (K_g * rho**2 * abs(aV) ** 4 - 2 * rho * abs(x) ** 2 / (1 + rho * a2)) / phi**2
 
 
 def critical_point_curvature(f: HoloMap, p) -> float:

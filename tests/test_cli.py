@@ -614,6 +614,22 @@ def test_import_leaves_scipy_unloaded():
     assert r.stdout.strip() == "False"
 
 
+def test_import_grauertlab_loads_no_submodule_and_no_numpy():
+    # the package holds only __version__: every name is imported from the
+    # module that defines it, so importing the package loads none of them
+    tomllib = pytest.importorskip("tomllib")
+    src = Path(grauertlab.__file__).resolve().parent.parent
+    code = ("import json, sys, grauertlab; print(json.dumps([sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'numpy' or m.startswith('grauertlab.')), "
+            "grauertlab.__version__]))")
+    r = subprocess.run([sys.executable, "-W", "error", "-c", code],
+                       env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+                       text=True, timeout=120, check=True)
+    with open(src.parent / "pyproject.toml", "rb") as fh:
+        version = tomllib.load(fh)["project"]["version"]
+    assert json.loads(r.stdout) == [[], version]
+
+
 def test_leaf_approach_ratio_overflow_exit_2_no_output(workdir, capsys):
     # ratio^m overflows a Python float at m = 31: a raw OverflowError escaped
     _dump({"n": 1, "terms": [{"exp": [1], "re": 1}]}, workdir / "fz.json")

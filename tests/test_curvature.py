@@ -34,6 +34,7 @@ from oracles import (
     loop_k_plus,
     loop_kahler_tensor,
     loop_metric_matrix_jet,
+    mp_hsc,
     mp_leaf_curvature,
     wirtinger_fd,
 )
@@ -586,3 +587,43 @@ def test_k_plus_reaches_zero_sup_on_n3_map():
     p = (0.5478179993207886 + 0.4710547783280419j, -0.9858245814786329 + 0.7106560461659073j,
          -0.9805720304792361 + 0.3926058832032997j)
     assert k_plus(f, p, seed=780750005) >= -1e-9
+
+
+@pytest.mark.parametrize("key", ["poly2", "quot2", "poly3"])
+def test_hsc_matches_mp_hsc_on_workload_maps(monkeypatch, key):
+    # mp_hsc is the Gauss equation at 60 digits, with no tensor or inverse
+    f = _workload_maps(monkeypatch)[key]
+    rng = np.random.default_rng(21)
+    for _ in range(12):
+        while True:
+            p = tuple(complex(*rng.uniform(-1.2, 1.2, size=2)) for _ in range(f.n))
+            if abs(f(p)) >= 0.25:  # the workload's margin from the divisor
+                break
+        V = tuple(complex(*rng.uniform(-1, 1, size=2)) for _ in range(f.n))
+        want = float(mp_hsc(f, p, V))
+        assert abs(hsc(f, p, V) - want) <= 1e-10 * max(1.0, abs(want)), (p, V)
+
+
+@pytest.mark.parametrize("z", [0.7 + 0.2j, -1.3 + 0.4j, 0.1 - 2.0j, 3.0 + 0.0j])
+def test_mp_hsc_is_line_curvature_for_n1(z):
+    f = HoloMap.poly(1, {(2,): 1, (1,): 0.3 - 0.2j, (0,): -1})
+    want = line_curvature(f, z)
+    assert abs(float(mp_hsc(f, (z,), (1.0,))) - want) <= 1e-12 * max(1.0, abs(want))
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 16")
+def test_hsc_near_divisor_is_accurate_or_raises():
+    # on z1 z2 - 1 at p = (1 + d, 1), |f| = d; the tensor path subtracts two
+    # terms that grow like rho^2, and returns values far off with no error
+    # (tangent d = 1e-5: +2076.08 against -0.99812)
+    f = HoloMap.poly(2, {(1, 1): 1, (0, 0): -1})
+    for k in range(1, 10):
+        d = float(f"1e-{k}")
+        for name, V in (("tangent", (1, -1)), ("transverse", (1, 1))):
+            want = float(mp_hsc(f, (1 + d, 1), V))
+            try:
+                got = hsc(f, (1 + d, 1), V)
+            except GrauertError:
+                continue
+            assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), (
+                f"{name} V at d = {d:g}: hsc {got!r}, mp_hsc {want!r}")
